@@ -155,14 +155,16 @@ def _audit_mrs(machine, label: str) -> List[Violation]:
             if proc.aspace.find_vma(mr.vaddr) is None:
                 continue
             try:
-                entries = list(proc.aspace.page_table.pages_in_range(mr.vaddr, mr.length))
+                segments = list(proc.aspace.page_table.segments(mr.vaddr, mr.length))
             except Exception:
                 best_reason = best_reason or (
                     f"range [{mr.vaddr:#x}, +{mr.length}) is partially unmapped "
                     f"in {proc.name}"
                 )
                 continue
-            unpinned = [e.vaddr for e in entries if e.pin_count < 1]
+            unpinned = [run.vaddr(lo) for run, seg_lo, seg_hi in segments
+                        for lo, _, count in run.pin_levels(seg_lo, seg_hi)
+                        if count < 1]
             if unpinned:
                 best_reason = (
                     f"page {unpinned[0]:#x} of registered range is not pinned "
@@ -211,10 +213,9 @@ def _audit_proc_memory(proc, machine, label: str) -> List[Violation]:
     # TLB's page size.  A vpage with no VMA is benign staleness — real
     # hardware keeps entries after munmap until eviction or shootdown.
     for size, tlb_name in ((PAGE_4K, "tlb.4k"), (PAGE_2M, "tlb.2m")):
-        table = aspace.page_table.leaf_table(size)
         for vpage in proc.engine.tlb._arrays[size]:
             vma = aspace.find_vma(vpage)
-            if vma is not None and vpage not in table:
+            if vma is not None and aspace.page_table.find(size, vpage) is None:
                 violations.append(Violation(
                     check="tlb-dangling", location=f"{label}/{tlb_name}",
                     message=(

@@ -60,7 +60,7 @@ from repro.engine import sched as sched_mod
 from repro.util import atomic_write
 
 #: snapshot schema tag; bump on any incompatible payload change
-SCHEMA = "repro-checkpoint/1"
+SCHEMA = "repro-checkpoint/2"
 
 
 class CheckpointError(Exception):
@@ -226,10 +226,7 @@ def _capture_process(proc) -> dict:
             "brk": aspace._brk,
             "mmap_cursor": aspace._mmap_cursor,
             "huge_cursor": aspace._huge_cursor,
-            "pt_small": [(e.vaddr, e.paddr, e.pin_count, e.cow)
-                         for e in sorted(pt._small.values(), key=lambda e: e.vaddr)],
-            "pt_huge": [(e.vaddr, e.paddr, e.pin_count, e.cow)
-                        for e in sorted(pt._huge.values(), key=lambda e: e.vaddr)],
+            "pt_runs": pt.dump_runs(),
         },
         "tlb": proc.engine.tlb.dump_state(),
         "cache": proc.engine.cache.dump_state(),
@@ -384,7 +381,6 @@ def _restore_libc(libc, state: dict) -> None:
 
 def _restore_aspace(aspace, state: dict) -> None:
     from repro.mem.address_space import VMA
-    from repro.mem.paging import PAGE_2M, PAGE_4K, PageTableEntry
 
     # surgical rebuild: frames are accounted for by the restored
     # PhysicalMemory state, so nothing here may allocate
@@ -396,22 +392,9 @@ def _restore_aspace(aspace, state: dict) -> None:
     aspace._brk = state["brk"]
     aspace._mmap_cursor = state["mmap_cursor"]
     aspace._huge_cursor = state["huge_cursor"]
-    aspace._xlate_cache.clear()  # host-side cache; rebuilt on demand
     aspace._vma_starts = []
     aspace._vma_index_dirty = True
-    pt = aspace.page_table
-    pt._small.clear()
-    pt._huge.clear()
-    for vaddr, paddr, pin_count, cow in state["pt_small"]:
-        pt._small[vaddr] = PageTableEntry(
-            vaddr=vaddr, paddr=paddr, page_size=PAGE_4K,
-            pin_count=pin_count, cow=cow,
-        )
-    for vaddr, paddr, pin_count, cow in state["pt_huge"]:
-        pt._huge[vaddr] = PageTableEntry(
-            vaddr=vaddr, paddr=paddr, page_size=PAGE_2M,
-            pin_count=pin_count, cow=cow,
-        )
+    aspace.page_table.load_runs(state["pt_runs"])
 
 
 def _restore_machine(cluster, index: int, state: dict) -> None:

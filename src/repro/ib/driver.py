@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-from repro.mem.paging import PageTableEntry
 from repro.mem.physical import PAGE_2M, PAGE_4K
 
 
@@ -34,20 +33,19 @@ class OpenIBDriver:
 
     hugepage_aware: bool = False
 
-    def plan_entries(self, pages: Sequence[PageTableEntry]) -> Tuple[int, int]:
+    def plan_entries(self, extents: Sequence[Tuple[int, int]]) -> Tuple[int, int]:
         """Decide the translation layout for a registration.
 
-        *pages* are the leaf page-table entries covering the buffer.
-        Returns ``(entry_page_size, n_entries)``.
+        *extents* are ``(page_size, n_pages)`` stretches of the leaf
+        pages covering the buffer, in address order.  Returns
+        ``(entry_page_size, n_entries)``.
 
         The patched driver only uses 2 MB entries when *every* page in
         the range is a hugepage (a mixed range falls back to 4 KB — the
         adapter needs one uniform entry size per region).
         """
-        if not pages:
+        if not extents:
             raise ValueError("registration covers no pages")
-        all_huge = all(p.page_size == PAGE_2M for p in pages)
-        if self.hugepage_aware and all_huge:
-            return PAGE_2M, len(pages)
-        n_entries = sum(p.page_size // PAGE_4K for p in pages)
-        return PAGE_4K, n_entries
+        if self.hugepage_aware and all(ps == PAGE_2M for ps, _ in extents):
+            return PAGE_2M, sum(n for _, n in extents)
+        return PAGE_4K, sum(n * (ps // PAGE_4K) for ps, n in extents)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro import fastpath, sanitize
 from repro.analysis.counters import CounterSet
@@ -36,7 +36,7 @@ from repro.ib.att import ATTCache
 from repro.ib.driver import OpenIBDriver
 from repro.ib.verbs import IBVerbsError, MemoryRegion, ProtectionDomain
 from repro.mem.address_space import AddressSpace
-from repro.mem.paging import PageTableEntry
+from repro.mem.paging import PinError
 from repro.mem.physical import PAGE_2M, PAGE_4K
 
 _keys = itertools.count(0x1000)
@@ -109,26 +109,27 @@ class RegistrationEngine:
                     f"registration of [{vaddr:#x}+{length}] failed transiently "
                     "(driver resource shortage; retry may succeed)"
                 )
-        pages = self._pages_for(aspace, vaddr, length)
-        ns = self.costs.base_ns
-        # step 1: pin + step 2: translate, per real kernel page
-        if pages and pages[0].page_size == pages[-1].page_size:
-            # one VMA's pages share a size: hoist the cost lookup
-            per_page = (
-                self.costs.pin_ns(pages[0].page_size)
-                + self.costs.per_page_translate_ns
-            )
-            for page in pages:
-                page.pin_count += 1
-            ns += len(pages) * per_page
+        table = aspace.page_table
+        costs = self.costs
+        ns = costs.base_ns
+        # step 1: pin (faults before pinning anything if the range is
+        # not wholly mapped) + step 2: translate, per real kernel page
+        segments = table.pin(vaddr, length)
+        if fastpath.enabled():
+            extents = [(run.page_size, hi - lo) for run, lo, hi in segments]
+            for page_size, n in extents:
+                ns += n * (costs.pin_ns(page_size) + costs.per_page_translate_ns)
         else:
-            for page in pages:
-                page.pin_count += 1
-                ns += self.costs.pin_ns(page.page_size)
-                ns += self.costs.per_page_translate_ns
+            extents = []
+            for page in table.pages_in_range(vaddr, length):
+                ns += costs.pin_ns(page.page_size)
+                ns += costs.per_page_translate_ns
+                extents.append((page.page_size, 1))
+        n_pages = sum(n for _, n in extents)
         # step 3: upload translations at the driver's chosen granularity
-        entry_page_size, n_entries = self.driver.plan_entries(pages)
-        ns += n_entries * self.costs.per_entry_upload_ns
+        entry_page_size, n_entries = self.driver.plan_entries(extents)
+        ns += n_entries * costs.per_entry_upload_ns
+        first_run, first_idx, _ = segments[0]
         mr = MemoryRegion(
             mr_id=next(_keys),
             pd=pd,
@@ -136,13 +137,13 @@ class RegistrationEngine:
             length=length,
             entry_page_size=entry_page_size,
             n_entries=n_entries,
-            base=pages[0].vaddr,
+            base=first_run.vaddr(first_idx),
             lkey=next(_keys),
             rkey=next(_keys),
         )
         self.counters.add("reg.register")
         self.counters.add("reg.entries_uploaded", n_entries)
-        self.counters.add("reg.pages_pinned", len(pages))
+        self.counters.add("reg.pages_pinned", n_pages)
         san = sanitize._active
         if san is not None and san.mr:
             san.on_register(mr, aspace)
@@ -153,12 +154,12 @@ class RegistrationEngine:
         if not mr.registered:
             raise IBVerbsError(f"MR {mr.mr_id} already deregistered")
         ns = self.costs.dereg_base_ns + mr.n_entries * self.costs.per_entry_dereg_ns
-        for page in self._pages_for(aspace, mr.vaddr, mr.length):
-            if page.pin_count <= 0:
-                raise IBVerbsError(
-                    f"unpin of page {page.vaddr:#x} that is not pinned"
-                )
-            page.pin_count -= 1
+        try:
+            aspace.page_table.unpin(mr.vaddr, mr.length)
+        except PinError as err:
+            raise IBVerbsError(
+                f"unpin of page {err.vaddr:#x} that is not pinned"
+            ) from None
         self.att.invalidate_region(mr.mr_id)
         mr.registered = False
         self.counters.add("reg.deregister")
@@ -166,15 +167,3 @@ class RegistrationEngine:
         if san is not None and san.mr:
             san.on_deregister(mr)
         return ns
-
-    @staticmethod
-    def _pages_for(aspace: AddressSpace, vaddr: int,
-               length: int) -> List[PageTableEntry]:
-        """Leaf entries covering the buffer: from the address space's
-        VMA translation cache when possible, else a page-table walk."""
-        if fastpath.enabled():
-            run = aspace.translation_run(vaddr, length)
-            if run is not None:
-                xlate, first, last = run
-                return xlate.entries[first : last + 1]
-        return list(aspace.page_table.pages_in_range(vaddr, length))

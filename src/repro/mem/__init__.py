@@ -23,7 +23,7 @@ from repro.mem.physical import (
     OutOfMemoryError,
     PhysicalMemory,
 )
-from repro.mem.paging import PageTable, PageTableEntry
+from repro.mem.paging import PageTable, PageView, Run
 from repro.mem.address_space import AddressSpace, VMA, MappingError
 from repro.mem.hugetlbfs import HugeTLBfs, HugePagePoolExhausted
 from repro.mem.tlb import SplitTLB, TLBConfig
@@ -43,9 +43,10 @@ __all__ = [
     "PAGE_2M",
     "PAGE_4K",
     "PageTable",
-    "PageTableEntry",
+    "PageView",
     "PhysicalMemory",
     "Prefetcher",
+    "Run",
     "SplitTLB",
     "TLBConfig",
     "VMA",

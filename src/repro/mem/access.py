@@ -30,6 +30,7 @@ from repro.analysis.counters import CounterSet
 from repro.engine.clock import TickClock
 from repro.mem.address_space import AddressSpace
 from repro.mem.cache import CacheConfig, DataCache, Prefetcher
+from repro.mem.paging import TranslationFault
 from repro.mem.physical import PAGE_2M, PAGE_4K, align_down
 from repro.mem.tlb import SplitTLB, TLBConfig
 
@@ -96,7 +97,10 @@ class MemoryAccessEngine:
         return cost
 
     def _page_size_at(self, vaddr: int) -> int:
-        return self.address_space.page_table.lookup(vaddr).page_size
+        run = self.address_space.page_table.run_at(vaddr)
+        if run is None:
+            raise TranslationFault(vaddr)
+        return run.page_size
 
     # -- exact small-buffer access -------------------------------------------
     def touch(self, vaddr: int, nbytes: int, write: bool = False) -> AccessCost:
@@ -142,24 +146,24 @@ class MemoryAccessEngine:
 
     def _touch_fast(self, vaddr: int, nbytes: int, write: bool) -> Optional[AccessCost]:
         """Batched :meth:`touch`: TLB pages in one sweep, cache lines in
-        one sweep per physically-contiguous run.
+        one sweep per physically-contiguous stretch of frames.
 
         Exactly equivalent to the reference loop (same ticks, counters
-        and model state); returns None when the range is not covered by
-        one cached VMA and the caller must walk page by page.
+        and model state); returns None when the range is not translated
+        by one page-table run and the caller must walk page by page.
         """
         line = self.cache.config.line_size
         start = align_down(vaddr, line)
         end = vaddr + nbytes
-        run = self.address_space.translation_run(start, end - start)
-        if run is None:
+        found = self.address_space.page_table.single_run(start, end - start)
+        if found is None:
             return None
-        xlate, first_idx, last_idx = run
-        ps = xlate.page_size
-        entries = xlate.entries
+        run, first_idx, last_idx = found
+        ps = run.page_size
+        frames = run.frames
         cost = AccessCost()
         cost.tlb_hits, cost.tlb_misses, ns = self.tlb.sweep(
-            entries[first_idx].vaddr, last_idx - first_idx + 1, ps
+            run.vaddr(first_idx), last_idx - first_idx + 1, ps
         )
         sweep = self.cache.sweep
         cursor = start
@@ -168,14 +172,14 @@ class MemoryAccessEngine:
             # extend across physically adjacent pages: their lines form
             # one consecutive run of cache keys
             j = i
-            while j < last_idx and entries[j + 1].paddr == entries[j].paddr + ps:
+            while j < last_idx and frames[j + 1] == frames[j] + ps:
                 j += 1
-            entry = entries[i]
-            run_vend = entries[j].vaddr + ps
+            page_vaddr = run.vaddr(i)
+            run_vend = run.vaddr(j + 1)
             seg_end = run_vend if run_vend < end else end
             n_lines = (seg_end - cursor + line - 1) // line
             hits, misses, seg_ns = sweep(
-                (entry.paddr + (cursor - entry.vaddr)) // line, n_lines, write
+                (frames[i] + (cursor - page_vaddr)) // line, n_lines, write
             )
             cost.cache_hits += hits
             cost.cache_misses += misses
@@ -228,22 +232,20 @@ class MemoryAccessEngine:
 
     def _stream_fast(self, vaddr: int, nbytes: int) -> Optional[AccessCost]:
         """Batched :meth:`stream`: one TLB sweep, restarts read from the
-        VMA's precomputed physical-adjacency prefix.
+        run's physical-adjacency prefix.
 
         Exactly equivalent to the reference loop; returns None when the
-        range is not covered by one cached VMA.
+        range is not translated by one page-table run.
         """
-        run = self.address_space.translation_run(vaddr, nbytes)
-        if run is None:
+        found = self.address_space.page_table.single_run(vaddr, nbytes)
+        if found is None:
             return None
-        xlate, first_idx, last_idx = run
+        run, first_idx, last_idx = found
         cost = AccessCost()
         cost.tlb_hits, cost.tlb_misses, walk_ns = self.tlb.sweep(
-            xlate.entries[first_idx].vaddr,
-            last_idx - first_idx + 1,
-            xlate.page_size,
+            run.vaddr(first_idx), last_idx - first_idx + 1, run.page_size
         )
-        restarts = xlate.restarts(first_idx, last_idx)
+        restarts = run.restarts(first_idx, last_idx)
         n_lines = self.prefetcher.lines_for(nbytes)
         cost.ns = walk_ns + self.prefetcher.stream_cost_ns(n_lines, restarts)
         restart_lines = min(n_lines, restarts * self.cache.config.stream_restart_lines)

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.mem.hugetlbfs import HugeTLBfs
-from repro.mem.paging import PageTable, PageTableEntry
+from repro.mem.paging import PageTable
 from repro.mem.physical import (
     PAGE_2M,
     PAGE_4K,
@@ -69,43 +69,6 @@ class VMA:
         return self.start <= vaddr < self.end
 
 
-class VMATranslations:
-    """Cached translations of one VMA: the fast path's page-walk skip.
-
-    Holds the VMA's leaf page-table entries in address order plus a
-    prefix count of physical discontinuities, so a streaming sweep can
-    read its prefetcher restart count in O(1) instead of touching every
-    page.  Entries are the *live* :class:`PageTableEntry` objects (pin
-    counts and CoW flags stay accurate); the cache is dropped whenever a
-    translation can change (munmap, sbrk, CoW copy — see
-    :meth:`AddressSpace._invalidate_translations`).
-    """
-
-    __slots__ = ("start", "length", "page_size", "entries", "break_prefix")
-
-    def __init__(self, start: int, length: int, page_size: int,
-                 entries: List[PageTableEntry]):
-        self.start = start
-        self.length = length
-        self.page_size = page_size
-        self.entries = entries
-        prefix = [0] * len(entries)
-        breaks = 0
-        prev = entries[0]
-        for i in range(1, len(entries)):
-            entry = entries[i]
-            if prev.paddr + page_size != entry.paddr:
-                breaks += 1
-            prefix[i] = breaks
-            prev = entry
-        self.break_prefix = prefix
-
-    def restarts(self, first_idx: int, last_idx: int) -> int:
-        """Prefetcher stream restarts over entries [first..last]: one
-        cold start plus one per physical discontinuity inside the run."""
-        return 1 + self.break_prefix[last_idx] - self.break_prefix[first_idx]
-
-
 class AddressSpace:
     """One process's virtual address space.
 
@@ -132,9 +95,8 @@ class AddressSpace:
         self._brk = BRK_BASE
         self._mmap_cursor = MMAP_TOP
         self._huge_cursor = HUGE_BASE
-        # fast path: cached per-VMA translations + a sorted-start index
-        # for O(log n) VMA lookup (rebuilt lazily after map changes)
-        self._xlate_cache: Dict[int, VMATranslations] = {}
+        # sorted-start index for O(log n) VMA lookup (rebuilt lazily
+        # after map changes)
         self._vma_starts: List[int] = []
         self._vma_index_dirty = True
 
@@ -160,63 +122,6 @@ class AddressSpace:
             return None
         vma = self._vmas[starts[i]]
         return vma if vaddr < vma.end else None
-
-    # -- cached translations (fast path) -----------------------------------
-    def vma_translations(self, vma: VMA) -> Optional[VMATranslations]:
-        """Cached leaf entries of *vma*, building on first use.
-
-        Returns None when the VMA's pages cannot be served from a single
-        leaf table (partially unmapped, or 4 KB pages shadowed by a
-        hugepage mapping) — callers must fall back to per-page lookups.
-        """
-        cached = self._xlate_cache.get(vma.start)
-        if (
-            cached is not None
-            and cached.length == vma.length
-            and cached.page_size == vma.page_size
-        ):
-            return cached
-        ps = vma.page_size
-        table = self.page_table.leaf_table(ps)
-        huge = self.page_table.leaf_table(PAGE_2M)
-        check_shadow = ps == PAGE_4K and bool(huge)
-        entries: List[PageTableEntry] = []
-        append = entries.append
-        for base in range(vma.start, vma.start + vma.length, ps):
-            entry = table.get(base)
-            if entry is None:
-                return None
-            if check_shadow and (base - base % PAGE_2M) in huge:
-                # lookup() prefers the hugepage leaf — don't cache a view
-                # that disagrees with the reference walk
-                return None
-            append(entry)
-        if not entries:
-            return None
-        xlate = VMATranslations(vma.start, vma.length, ps, entries)
-        self._xlate_cache[vma.start] = xlate
-        return xlate
-
-    def translation_run(
-        self, vaddr: int, nbytes: int
-    ) -> Optional[Tuple[VMATranslations, int, int]]:
-        """Cached translations covering ``[vaddr, vaddr+nbytes)``.
-
-        Returns ``(xlate, first_idx, last_idx)`` — the inclusive entry
-        index range inside ``xlate.entries`` — or None when the range is
-        not wholly inside one cacheable VMA (fall back to page walks).
-        """
-        if nbytes <= 0:
-            return None
-        vma = self.find_vma(vaddr)
-        if vma is None or vaddr + nbytes > vma.end:
-            return None
-        xlate = self.vma_translations(vma)
-        if xlate is None:
-            return None
-        ps = xlate.page_size
-        off = vaddr - vma.start
-        return xlate, off // ps, (off + nbytes - 1) // ps
 
     def translate(self, vaddr: int):
         """``(paddr, page_size)`` for *vaddr* (faults if unmapped)."""
@@ -275,20 +180,15 @@ class AddressSpace:
             raise MappingError("the brk VMA is shrunk with sbrk(), not munmap()")
         for hook in self.unmap_hooks:
             hook(vma.start, vma.length)
-        n_pages = vma.length // vma.page_size
-        freed = []
-        for i in range(n_pages):
-            entry = self.page_table.unmap(start + i * vma.page_size, vma.page_size)
-            freed.append(entry.paddr)
+        # all-or-nothing: a pinned page refuses the whole unmap
+        frames = self.page_table.unmap_range(start, vma.length, vma.page_size)
         if vma.page_size == PAGE_2M:
             assert self.hugetlbfs is not None
-            self.hugetlbfs.release(freed)
-            self.hugetlbfs.notice_released(n_pages)
+            self.hugetlbfs.release(frames)
+            self.hugetlbfs.notice_released(len(frames))
         else:
-            for paddr in freed:
-                self.physical.free_frame(paddr)
+            self.physical.free_frames(frames)
         del self._vmas[start]
-        self._xlate_cache.pop(start, None)
         self._vma_index_dirty = True
 
     # -- brk -------------------------------------------------------------------
@@ -309,14 +209,12 @@ class AddressSpace:
             n_new = (new_top - old_top) // PAGE_4K
             frames = self.physical.alloc_frames(n_new)
             self.page_table.bulk_map(old_top, frames, PAGE_4K)
-            self._xlate_cache.pop(BRK_BASE, None)
         elif new_top < old_top:
             for hook in self.unmap_hooks:
                 hook(new_top, old_top - new_top)
-            for base in range(new_top, old_top, PAGE_4K):
-                entry = self.page_table.unmap(base, PAGE_4K)
-                self.physical.free_frame(entry.paddr)
-            self._xlate_cache.pop(BRK_BASE, None)
+            self.physical.free_frames(
+                self.page_table.unmap_range(new_top, old_top - new_top, PAGE_4K)
+            )
         self._brk = new_brk
         self._sync_brk_vma()
         return old_brk
@@ -346,11 +244,13 @@ class AddressSpace:
         silently break the adapter's translations, the classic
         InfiniBand fork hazard.
         """
-        for entry in self.page_table.entries():
-            if entry.pinned:
+        for run in self.page_table.runs():
+            if run.pins:
+                first = next(lo for lo, _, count in run.pin_levels(0, run.n_pages)
+                             if count)
                 raise MappingError(
                     f"fork with registered memory is unsafe (page "
-                    f"{entry.vaddr:#x} is pinned)"
+                    f"{run.vaddr(first):#x} is pinned)"
                 )
         child = AddressSpace(self.physical, self.hugetlbfs)
         child._brk = self._brk
@@ -361,12 +261,10 @@ class AddressSpace:
                 start=vma.start, length=vma.length, page_size=vma.page_size,
                 kind=vma.kind, name=vma.name,
             )
-        for entry in self.page_table.entries():
-            shared = child.page_table.map(entry.vaddr, entry.paddr,
-                                          entry.page_size)
-            entry.cow = True
-            shared.cow = True
-            self.physical.share_frame(entry.paddr)
+        child.page_table = self.page_table.fork()
+        for run in self.page_table.runs():
+            for paddr in run.frames:
+                self.physical.share_frame(paddr)
         if self.hugetlbfs is not None:
             huge_pages = sum(
                 v.length // PAGE_2M for v in self.vmas if v.page_size == PAGE_2M
@@ -391,13 +289,7 @@ class AddressSpace:
             new_paddr = self.hugetlbfs.acquire(1)[0]
         else:
             new_paddr = self.physical.alloc_frame()
-        old_paddr = entry.paddr
-        entry.paddr = new_paddr
-        entry.cow = False
-        # the frame moved: any cached physical-adjacency prefix is stale
-        vma = self.find_vma(vaddr)
-        if vma is not None:
-            self._xlate_cache.pop(vma.start, None)
+        old_paddr = self.page_table.set_frame(vaddr, new_paddr)
         # drop our reference to the shared frame
         if entry.page_size == PAGE_2M:
             self.physical.free_hugepage(old_paddr)

@@ -9,7 +9,7 @@ the pool: acquiring/releasing hugepage frames, and accounting so a client
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 from repro.faults import FaultInjector
 from repro.mem.physical import PAGE_2M, OutOfMemoryError, PhysicalMemory
@@ -84,7 +84,7 @@ class HugeTLBfs:
             )
         return [self.physical.alloc_hugepage() for _ in range(n_pages)]
 
-    def release(self, frames: List[int]) -> None:
+    def release(self, frames: Iterable[int]) -> None:
         """Return hugepage frames to the pool."""
         for paddr in frames:
             self.physical.free_hugepage(paddr)

@@ -21,7 +21,8 @@ virtual pages land on non-adjacent frames.
 
 from __future__ import annotations
 
-from typing import List
+from array import array
+from typing import List, Optional
 
 import numpy as np
 
@@ -33,6 +34,23 @@ PAGE_2M = 2 * 1024 * 1024
 FRAMES_PER_HUGEPAGE = PAGE_2M // PAGE_4K
 #: frames per lazy shuffle window
 _WINDOW_FRAMES = 4096
+
+
+def first_bad_frame(frames: array, alignment: int,
+                    limit: Optional[int] = None) -> int:
+    """Index of the first of *frames* not aligned to *alignment* (or not
+    below *limit*), or -1.  Short arrays are scanned in Python: under
+    about 64 frames numpy's fixed per-call cost exceeds the whole scan."""
+    if len(frames) < 64:
+        for i, f in enumerate(frames):
+            if f % alignment or (limit is not None and f >= limit):
+                return i
+        return -1
+    view = np.frombuffer(frames, dtype=np.uint64)
+    bad = view % alignment != 0
+    if limit is not None:
+        bad |= view >= limit
+    return int(bad.argmax()) if bad.any() else -1
 
 
 class OutOfMemoryError(MemoryError):
@@ -103,8 +121,8 @@ class PhysicalMemory:
         # lazy 4 KB pool below it
         self._total_small = self._huge_base // PAGE_4K
         self._cursor = 0  # next never-touched frame index
-        self._window: List[int] = []  # current shuffle window (pop from end)
-        self._returned: List[int] = []  # freed frames (reused first)
+        self._window = array("Q")  # current shuffle window (pop from end)
+        self._returned = array("Q")  # freed frames (reused first, LIFO)
         self._rng = np.random.default_rng(seed)
         # CoW sharing: refcounts > 1 for frames mapped by several address
         # spaces after a fork; freeing a shared frame just drops a ref
@@ -132,7 +150,9 @@ class PhysicalMemory:
                 idx = self._rng.choice(n, size=n_shuffle, replace=False)
                 order[np.sort(idx)] = order[self._rng.permutation(np.sort(idx))]
         # hand out in index order: pop() takes from the end, so reverse
-        self._window = [int(i) * PAGE_4K for i in order[::-1]]
+        self._window = array(
+            "Q", (order[::-1] * PAGE_4K).astype(np.uint64).tobytes()
+        )
 
     def alloc_frame(self) -> int:
         """Allocate one 4 KB frame; returns its physical address."""
@@ -142,8 +162,8 @@ class PhysicalMemory:
             self._refill_window()
         return self._window.pop()
 
-    def alloc_frames(self, n: int) -> List[int]:
-        """Allocate *n* 4 KB frames in one call.
+    def alloc_frames(self, n: int) -> array:
+        """Allocate *n* 4 KB frames in one call, as an ``array('Q')``.
 
         Returns exactly the frames ``n`` consecutive :meth:`alloc_frame`
         calls would return, in the same order (freed frames first, then
@@ -155,23 +175,23 @@ class PhysicalMemory:
         """
         if n <= 0:
             raise ValueError(f"frame count must be positive, got {n}")
-        frames: List[int] = []
+        frames = array("Q")
         try:
+            # both pools pop from their end: take reversed tail slices
             returned = self._returned
-            while returned and len(frames) < n:
-                frames.append(returned.pop())
-            remaining = n - len(frames)
-            while remaining:
+            take = min(n, len(returned))
+            if take:
+                frames += returned[-1 : -take - 1 : -1]
+                del returned[-take:]
+            while len(frames) < n:
                 if not self._window:
                     self._refill_window()
                 window = self._window
-                take = remaining if remaining < len(window) else len(window)
-                frames += window[: -take - 1 : -1]
+                take = min(n - len(frames), len(window))
+                frames += window[-1 : -take - 1 : -1]
                 del window[-take:]
-                remaining -= take
         except OutOfMemoryError:
-            for paddr in frames:
-                self.free_frame(paddr)
+            self.free_frames(frames)
             raise
         return frames
 
@@ -182,6 +202,17 @@ class PhysicalMemory:
         if self._drop_share(paddr):
             return
         self._returned.append(paddr)
+
+    def free_frames(self, frames: array) -> None:
+        """:meth:`free_frame` for each of *frames*, in order."""
+        if self._shared:
+            for paddr in frames:
+                self.free_frame(paddr)
+            return
+        bad = first_bad_frame(frames, PAGE_4K, self._huge_base)
+        if bad >= 0:
+            raise ValueError(f"bad 4 KB frame address {frames[bad]:#x}")
+        self._returned.extend(frames)
 
     # -- CoW sharing --------------------------------------------------------
     def share_frame(self, paddr: int) -> None:
@@ -249,8 +280,8 @@ class PhysicalMemory:
     def load_state(self, state: dict) -> None:
         """Restore a :meth:`dump_state` snapshot onto identical geometry."""
         self._cursor = state["cursor"]
-        self._window = list(state["window"])
-        self._returned = list(state["returned"])
+        self._window = array("Q", state["window"])
+        self._returned = array("Q", state["returned"])
         self._free_huge = list(state["free_huge"])
         self._shared = dict(state["shared"])
         self._rng.bit_generator.state = state["rng_state"]

@@ -41,8 +41,9 @@ with freed ranges quarantined until the allocator reuses them:
 
 ``tlb`` — page-table/TLB consistency at each translated access:
 
-- ``tlb.stale-translation`` — a cached VMA translation holds an entry
-  object that is no longer the live leaf PTE.
+- ``tlb.stale-translation`` — a page-table run's cached
+  physical-adjacency prefix (the stream fast path's restart count)
+  disagrees with the run's frames.
 - ``tlb.unbacked-frame`` — a PTE's frame is misaligned or outside
   physical memory.
 - ``tlb.dangling-entry`` — the TLB holds a virtual page with no PTE.
@@ -73,6 +74,8 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro import trace
 
@@ -410,19 +413,32 @@ class Sanitizer:
 
         self.checks["tlb"] += 1
         aspace = engine.address_space
-        table = aspace.page_table
         total = aspace.physical.total_bytes
         try:
-            for entry in table.pages_in_range(vaddr, nbytes):
-                paddr = entry.paddr
-                if paddr < 0 or paddr + entry.page_size > total \
-                        or paddr % entry.page_size:
+            for run, lo, hi in aspace.page_table.segments(vaddr, nbytes):
+                ps = run.page_size
+                frames = np.frombuffer(run.frames, dtype=np.uint64)[lo:hi]
+                bad = np.flatnonzero((frames % ps != 0) | (frames > total - ps))
+                # a traceback holding the view would lock the array's size
+                del frames
+                if bad.size:
+                    idx = lo + int(bad[0])
+                    paddr = run.frames[idx]
                     self._violate(
                         "tlb.unbacked-frame",
-                        f"PTE {entry.vaddr:#x} points at frame "
+                        f"PTE {run.vaddr(idx):#x} points at frame "
                         f"{paddr:#x} outside/misaligned in physical "
                         f"memory ({total} bytes)",
-                        address=entry.vaddr, frame=paddr, op=op,
+                        address=run.vaddr(idx), frame=paddr, op=op,
+                    )
+                # the stream fast path reads restarts from a cached
+                # prefix over the frames: it must agree with them
+                if run.breaks_stale():
+                    self._violate(
+                        "tlb.stale-translation",
+                        f"cached physical-adjacency prefix of the run at "
+                        f"{run.base:#x} disagrees with its frames",
+                        address=run.base, op=op,
                     )
         except TranslationFault as fault:
             fault_vaddr = getattr(fault, "vaddr", vaddr)
@@ -442,20 +458,6 @@ class Sanitizer:
                 f"address {fault_vaddr:#x}",
                 address=fault_vaddr, size=nbytes, op=op,
             )
-        # the cached VMA translations (the fast path's view) must agree
-        # with the live page table entry-for-entry
-        run = aspace.translation_run(vaddr, nbytes)
-        if run is not None:
-            xlate, first, last = run
-            leaf = table.leaf_table(xlate.page_size)
-            for entry in xlate.entries[first:last + 1]:
-                if leaf.get(entry.vaddr) is not entry:
-                    self._violate(
-                        "tlb.stale-translation",
-                        f"cached translation for {entry.vaddr:#x} is not "
-                        f"the live page-table entry",
-                        address=entry.vaddr, op=op,
-                    )
 
     def check_access(self, engine: Any, vaddr: int, nbytes: int,
                      op: str) -> None:
@@ -537,14 +539,15 @@ class Sanitizer:
         if rec is None or rec.aspace is None:
             return  # registered before the sanitizer was installed
         try:
-            for page in rec.aspace.page_table.pages_in_range(addr, nbytes):
-                if page.pin_count < 1:
-                    self._violate(
-                        "mr.unpinned-page",
-                        f"{op} DMA walks page {page.vaddr:#x} of MR "
-                        f"{mr.mr_id} whose pin count is {page.pin_count}",
-                        address=page.vaddr, key=mr.mr_id, op=op,
-                    )
+            for run, lo, hi in rec.aspace.page_table.segments(addr, nbytes):
+                for seg_lo, _, count in run.pin_levels(lo, hi):
+                    if count < 1:
+                        self._violate(
+                            "mr.unpinned-page",
+                            f"{op} DMA walks page {run.vaddr(seg_lo):#x} of "
+                            f"MR {mr.mr_id} whose pin count is {count}",
+                            address=run.vaddr(seg_lo), key=mr.mr_id, op=op,
+                        )
         except TranslationFault as fault:
             fault_vaddr = getattr(fault, "vaddr", addr)
             self._violate(

@@ -79,7 +79,8 @@ class TestSeededCorruptionIsDetected:
     def test_unpinned_mr_page(self):
         cluster, node, proc, buf, mr = _mr_cluster()
         entries = list(proc.aspace.page_table.pages_in_range(buf, MB))
-        entries[3].pin_count = 0  # DMA target silently unpinned
+        # DMA target silently unpinned
+        proc.aspace.page_table.unpin(entries[3].vaddr, PAGE_4K)
         violations = audit_cluster(cluster)
         assert "mr-pinning" in _checks(violations)
         v = next(v for v in violations if v.check == "mr-pinning")
@@ -103,7 +104,7 @@ class TestSeededCorruptionIsDetected:
         # the TLB caches a translation the page table no longer has,
         # while the VMA is still live — a real use-after-unmap window
         proc.engine.tlb._arrays[PAGE_4K][vma.start] = True
-        proc.aspace.page_table.leaf_table(PAGE_4K).pop(vma.start)
+        proc.aspace.page_table.unmap(vma.start, PAGE_4K)
         violations = audit_cluster(cluster)
         assert "tlb-dangling" in _checks(violations)
         v = next(v for v in violations if v.check == "tlb-dangling")

@@ -204,6 +204,20 @@ class TestSnapshotCorruption:
         snap.write_bytes(json.dumps(manifest).encode() + b"\n" + body)
         self._expect_resume_error(snap, capsys, "cannot unpickle")
 
+    def test_schema_1_snapshot_exits_2(self, tmp_path, capsys):
+        """Schema 1 stored one tuple per page; this build stores
+        page-table runs, so an old snapshot is refused, not misread."""
+        import json
+
+        snap = self._valid_snapshot(tmp_path)
+        capsys.readouterr()
+        line, body = snap.read_bytes().split(b"\n", 1)
+        manifest = json.loads(line)
+        assert manifest["schema"] == "repro-checkpoint/2"
+        manifest["schema"] = "repro-checkpoint/1"
+        snap.write_bytes(json.dumps(manifest).encode() + b"\n" + body)
+        self._expect_resume_error(snap, capsys, "unsupported snapshot schema")
+
     def test_missing_snapshot_exits_2(self, tmp_path, capsys):
         self._expect_resume_error(tmp_path / "absent.snap", capsys,
                                   "cannot read snapshot")

@@ -109,10 +109,14 @@ class TestAddressSpaceFork:
 
     def test_parent_write_also_faults(self, aspace):
         vma = aspace.mmap(PAGE_4K)
+        original, _ = aspace.translate(vma.start)
         child = aspace.fork()
         assert aspace.write_fault(vma.start)  # parent copies too
-        # the child's view keeps the original frame
-        assert not child.page_table.lookup(vma.start).cow or True
+        # the child's page keeps the original frame; the parent's moved
+        assert child.translate(vma.start)[0] == original
+        assert aspace.translate(vma.start)[0] != original
+        assert not aspace.page_table.lookup(vma.start).cow
+        assert aspace.physical.shared_owners(original) == 1
 
 
 class TestOSProcessFork:

@@ -1,7 +1,10 @@
 """Tests for memory registration (repro.ib.registration + driver)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import fastpath
 from repro.ib.att import ATTCache, ATTConfig
 from repro.ib.driver import OpenIBDriver
 from repro.ib.registration import RegistrationCosts, RegistrationEngine
@@ -29,7 +32,7 @@ class TestDriverPlanning:
         driver = OpenIBDriver(hugepage_aware=False)
         vma = aspace.mmap(4 * MB, page_size=PAGE_2M)
         pages = list(aspace.page_table.pages_in_range(vma.start, 4 * MB))
-        size, n = driver.plan_entries(pages)
+        size, n = driver.plan_entries([(p.page_size, 1) for p in pages])
         assert size == PAGE_4K
         assert n == 1024
 
@@ -37,7 +40,7 @@ class TestDriverPlanning:
         driver = OpenIBDriver(hugepage_aware=True)
         vma = aspace.mmap(4 * MB, page_size=PAGE_2M)
         pages = list(aspace.page_table.pages_in_range(vma.start, 4 * MB))
-        size, n = driver.plan_entries(pages)
+        size, n = driver.plan_entries([(p.page_size, 1) for p in pages])
         assert size == PAGE_2M
         assert n == 2
 
@@ -45,7 +48,7 @@ class TestDriverPlanning:
         driver = OpenIBDriver(hugepage_aware=True)
         small = aspace.mmap(2 * PAGE_4K)
         pages = list(aspace.page_table.pages_in_range(small.start, 2 * PAGE_4K))
-        size, n = driver.plan_entries(pages)
+        size, n = driver.plan_entries([(p.page_size, 1) for p in pages])
         assert size == PAGE_4K and n == 2
 
     def test_empty_rejected(self):
@@ -177,3 +180,69 @@ class TestMemoryRegionGeometry:
         mr, _ = engine.register(aspace, ProtectionDomain.fresh(), vma.start, PAGE_4K)
         with pytest.raises(IBVerbsError):
             mr.entry_index(vma.start - 1)
+
+
+class TestClosedFormOracle:
+    """Registration against an independent formula, not only against
+    the reference loop: cost = base + pages x (pin + translate) +
+    entries x upload, where pages counts the kernel pages the range
+    touches and entries is pages for the patched driver on hugepages,
+    else the range's 4 KB page count."""
+
+    #: pages per VMA: 64 x 4 KB, or 4 x 2 MB
+    VMA_PAGES = {PAGE_4K: 64, PAGE_2M: 4}
+
+    @given(
+        page_size=st.sampled_from([PAGE_4K, PAGE_2M]),
+        hugepage_aware=st.booleans(),
+        fast=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_cost_counters_and_pins_match_closed_form(
+            self, page_size, hugepage_aware, fast, data):
+        pm = PhysicalMemory(64 * MB, hugepages=8)
+        aspace = AddressSpace(pm, HugeTLBfs(pm))
+        vma = aspace.mmap(self.VMA_PAGES[page_size] * page_size,
+                          page_size=page_size)
+        offset = data.draw(st.integers(0, vma.length - 1), label="offset")
+        length = data.draw(st.integers(1, vma.length - offset), label="length")
+        # an overlapping registration already holds some pages pinned,
+        # so "back to the prior count" is not just "back to zero"
+        held_off = data.draw(st.integers(0, vma.length - 1), label="held_off")
+        held_len = data.draw(st.integers(1, vma.length - held_off),
+                             label="held_len")
+        engine, _ = make_engine(hugepage_aware)
+        pd = ProtectionDomain.fresh()
+        engine.register(aspace, pd, vma.start + held_off, held_len)
+
+        def pins():
+            return [p.pin_count for p in
+                    aspace.page_table.pages_in_range(vma.start, vma.length)]
+
+        prior = pins()
+        first = offset // page_size
+        last = (offset + length - 1) // page_size
+        pages = last - first + 1
+        if hugepage_aware and page_size == PAGE_2M:
+            entries = pages
+        else:
+            entries = pages * (page_size // PAGE_4K)
+        costs = engine.costs
+        expected = (costs.base_ns
+                    + pages * (costs.pin_ns(page_size)
+                               + costs.per_page_translate_ns)
+                    + entries * costs.per_entry_upload_ns)
+        pinned_before = engine.counters["reg.pages_pinned"]
+        uploaded_before = engine.counters["reg.entries_uploaded"]
+
+        with fastpath.forced(fast):
+            mr, ns = engine.register(aspace, pd, vma.start + offset, length)
+        assert ns == expected
+        assert mr.n_entries == entries
+        assert engine.counters["reg.pages_pinned"] - pinned_before == pages
+        assert engine.counters["reg.entries_uploaded"] - uploaded_before == entries
+        assert pins() == [c + (first <= i <= last) for i, c in enumerate(prior)]
+
+        engine.deregister(aspace, mr)
+        assert pins() == prior

@@ -162,3 +162,48 @@ class TestLifecycle:
         vma = aspace.mmap(PAGE_4K)
         assert aspace.find_vma(vma.start) is vma
         assert aspace.find_vma(vma.start + PAGE_4K) is not vma
+
+
+class TestUnmapOverPinnedPageIsAtomic:
+    """A refused munmap / brk shrink must leave everything as it was:
+    the VMA, every mapping, the free-frame count and the translation."""
+
+    @staticmethod
+    def _pin(aspace, vaddr):
+        from repro.ib.att import ATTCache, ATTConfig
+        from repro.ib.driver import OpenIBDriver
+        from repro.ib.registration import RegistrationEngine
+        from repro.ib.verbs import ProtectionDomain
+
+        engine = RegistrationEngine(OpenIBDriver(), ATTCache(ATTConfig()))
+        engine.register(aspace, ProtectionDomain.fresh(), vaddr, PAGE_4K)
+
+    @staticmethod
+    def _state(aspace, pm, vma):
+        return (
+            list(aspace.vmas),
+            [aspace.translate(vma.start + i * PAGE_4K) for i in range(8)],
+            pm.free_small_frames,
+            aspace.page_table.lookup(vma.start),
+        )
+
+    def test_munmap_over_pinned_page_changes_nothing(self, aspace, machine_mem):
+        pm, _ = machine_mem
+        vma = aspace.mmap(8 * PAGE_4K)
+        self._pin(aspace, vma.start + 4 * PAGE_4K)
+        before = self._state(aspace, pm, vma)
+        with pytest.raises(ValueError, match="pinned"):
+            aspace.munmap(vma.start)
+        assert self._state(aspace, pm, vma) == before
+        assert aspace.find_vma(vma.start) == vma
+
+    def test_sbrk_shrink_over_pinned_page_changes_nothing(self, aspace, machine_mem):
+        pm, _ = machine_mem
+        aspace.sbrk(8 * PAGE_4K)
+        vma = aspace.find_vma(BRK_BASE)
+        self._pin(aspace, BRK_BASE + 4 * PAGE_4K)
+        before = self._state(aspace, pm, vma)
+        with pytest.raises(ValueError, match="pinned"):
+            aspace.sbrk(-8 * PAGE_4K)
+        assert self._state(aspace, pm, vma) == before
+        assert aspace.brk == BRK_BASE + 8 * PAGE_4K

@@ -2,8 +2,6 @@
 healthy runs, and every seeded corruption class is caught *at the
 faulting operation* with the exact rule id and faulting address/key."""
 
-import copy
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -220,7 +218,8 @@ class TestMRRules:
         with sanitize.capturing(san):
             machine, proc, buf, mr = _mr_machine()
             entries = list(proc.aspace.page_table.pages_in_range(buf, MB))
-            entries[3].pin_count = 0  # silently unpinned under the MR
+            # silently unpinned under the MR
+            proc.aspace.page_table.unpin(entries[3].vaddr, PAGE_4K)
             with pytest.raises(sanitize.SanitizerError) as exc:
                 san.check_dma(mr, buf, MB, "post_send")
         assert exc.value.rule == "mr.unpinned-page"
@@ -262,7 +261,7 @@ class TestTLBRules:
             machine, proc = make_machine()
             vma = proc.aspace.mmap(64 * KB)
             proc.engine.tlb._arrays[PAGE_4K][vma.start] = True
-            proc.aspace.page_table.leaf_table(PAGE_4K).pop(vma.start)
+            proc.aspace.page_table.unmap(vma.start, PAGE_4K)
             with pytest.raises(sanitize.SanitizerError) as exc:
                 proc.engine.touch(vma.start, 64)
         assert exc.value.rule == "tlb.dangling-entry"
@@ -273,8 +272,8 @@ class TestTLBRules:
         with sanitize.capturing(san):
             machine, proc = make_machine()
             vma = proc.aspace.mmap(64 * KB)
-            entry = proc.aspace.page_table.leaf_table(PAGE_4K)[vma.start]
-            entry.paddr = proc.aspace.physical.total_bytes + PAGE_4K
+            proc.aspace.page_table.set_frame(
+                vma.start, proc.aspace.physical.total_bytes + PAGE_4K)
             with pytest.raises(sanitize.SanitizerError) as exc:
                 proc.engine.touch(vma.start, 64)
         assert exc.value.rule == "tlb.unbacked-frame"
@@ -285,11 +284,13 @@ class TestTLBRules:
         with sanitize.capturing(san):
             machine, proc = make_machine()
             vma = proc.aspace.mmap(64 * KB)
-            proc.engine.touch(vma.start, 64 * KB)  # builds the xlate cache
-            leaf = proc.aspace.page_table.leaf_table(PAGE_4K)
-            # swap one PTE for an equal copy: the cached view now holds a
-            # dead object — exactly the desync the fast path would read
-            leaf[vma.start] = copy.copy(leaf[vma.start])
+            # a stream builds the run's cached physical-adjacency prefix
+            proc.engine.stream(vma.start, 64 * KB)
+            run = proc.aspace.page_table.run_at(vma.start)
+            # flip whether pages 0 and 1 are physically adjacent without
+            # dropping the cache: exactly the desync the fast path reads
+            adjacent = run.frames[0] + PAGE_4K
+            run.frames[1] = adjacent if run.frames[1] != adjacent else adjacent + PAGE_4K
             with pytest.raises(sanitize.SanitizerError) as exc:
                 proc.engine.touch(vma.start, 64 * KB)
         assert exc.value.rule == "tlb.stale-translation"

@@ -78,6 +78,16 @@ DEFAULT_SPEC: List[Dict[str, object]] = [
         "restore": ["repro.checkpoint._restore_aspace"],
     },
     {
+        "class": "repro.mem.paging.PageTable",
+        "capture": ["repro.mem.paging.PageTable.dump_runs"],
+        "restore": ["repro.mem.paging.PageTable.load_runs"],
+    },
+    {
+        "class": "repro.mem.paging.Run",
+        "capture": ["repro.mem.paging.PageTable.dump_runs"],
+        "restore": ["repro.mem.paging.PageTable.load_runs"],
+    },
+    {
         "class": "repro.mem.tlb.SplitTLB",
         "capture": ["repro.mem.tlb.SplitTLB.dump_state"],
         "restore": ["repro.mem.tlb.SplitTLB.load_state"],
