@@ -1,17 +1,17 @@
 """Core of the discrete-event simulation kernel.
 
 The kernel keeps pending ``(time, priority, sequence, event)`` entries in
-a pluggable :mod:`scheduler <repro.engine.sched>`.  Time is an integer
-tick count; ties are broken first by an event priority (so e.g. urgent
-interrupts run before normal timeouts at the same instant) and then by
-scheduling order, which makes every simulation fully deterministic.
+one binary heap.  Time is an integer tick count; ties are broken first by
+an event priority (so e.g. urgent interrupts run before normal timeouts
+at the same instant) and then by scheduling order, which makes every
+simulation fully deterministic.
 
-Dispatch is *frame-fused*: the scheduler hands back every event sharing
-the minimal ``(time, priority)`` key as one frame, and events scheduled
-**during** the frame for the same key are appended to the live frame —
-same-tick cascades (resource grants, zero-delay succeeds) never touch
-the scheduler at all.  An urgent event scheduled mid-frame preempts the
-rest of the frame exactly as the old per-event heap loop would have.
+Dispatch is *frame-fused*: the loop pops every entry sharing the minimal
+``(time, priority)`` key as one frame, and events scheduled **during**
+the frame for the same key are appended to the live frame — same-tick
+cascades (resource grants, zero-delay succeeds) never touch the heap at
+all.  An urgent event scheduled mid-frame preempts the rest of the frame
+exactly as a per-event heap loop would have.
 
 Processes are plain generator functions.  Each ``yield`` hands the kernel a
 waitable :class:`Event`; the process is resumed with the event's value when
@@ -34,9 +34,8 @@ count 1) and are never recycled behind the creator's back.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Iterable, List, Optional, Union
-
-from repro.engine.sched import make_scheduler
+from heapq import heappop, heappush
+from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 #: scheduling priorities (lower runs first at equal times)
 URGENT = 0
@@ -403,24 +402,12 @@ def active_kernel() -> Optional["SimKernel"]:
     return _active_kernel
 
 
-#: scheduler used by kernels that don't name one (see --scheduler)
-_default_scheduler = "heap"
-
-
-def set_default_scheduler(kind: str) -> None:
-    """Set the scheduler new kernels use by default (``heap``/``calendar``)."""
-    global _default_scheduler
-    make_scheduler(kind)  # validate the name eagerly
-    _default_scheduler = kind
-
-
-def default_scheduler() -> str:
-    """The scheduler kind new kernels get by default."""
-    return _default_scheduler
+#: one queue entry: (when, priority, seq, event)
+Entry = Tuple[int, int, int, Any]
 
 
 class SimKernel:
-    """The event loop: a virtual clock plus a scheduling queue.
+    """The event loop: a virtual clock plus a heap of pending events.
 
     >>> k = SimKernel()
     >>> def proc():
@@ -433,7 +420,7 @@ class SimKernel:
     """
 
     __slots__ = (
-        "_sched",
+        "_heap",
         "_seq",
         "_now",
         "_active_process",
@@ -452,12 +439,8 @@ class SimKernel:
     #: to the garbage collector
     _POOL_MAX = 256
 
-    def __init__(self, scheduler: Optional[Union[str, object]] = None) -> None:
-        if scheduler is None:
-            scheduler = _default_scheduler
-        self._sched = (
-            make_scheduler(scheduler) if isinstance(scheduler, str) else scheduler
-        )
+    def __init__(self) -> None:
+        self._heap: List[Entry] = []
         self._seq = 0
         self._now = 0
         self._active_process: Optional[Process] = None
@@ -469,7 +452,7 @@ class SimKernel:
         self._event_pool: List[Event] = []
         # the dispatch frame currently executing: same-key schedules fuse
         # into it, an urgent same-tick schedule preempts it
-        self._frame: Optional[List] = None
+        self._frame: Optional[List[Entry]] = None
         self._frame_when = 0
         self._frame_prio = NORMAL
         self._preempt = False
@@ -486,11 +469,6 @@ class SimKernel:
     def active_process(self) -> Optional[Process]:
         """The process currently executing, if any."""
         return self._active_process
-
-    @property
-    def scheduler_kind(self) -> str:
-        """Registry name of the scheduler this kernel runs on."""
-        return self._sched.kind
 
     # -- event factories --------------------------------------------------
     def event(self) -> Event:
@@ -569,27 +547,30 @@ class SimKernel:
             if priority == self._frame_prio:
                 # same-tick fusion: join the live frame (the fresh seq is
                 # larger than anything dispatched or pending in it)
-                frame.append((self._seq, event))
+                frame.append((when, priority, self._seq, event))
                 return
             if priority < self._frame_prio:
                 # an urgent event at the current tick outranks the rest
                 # of this frame: make the dispatch loop yield to it
                 self._preempt = True
-        self._sched.push(when, priority, self._seq, event)
+        heappush(self._heap, (when, priority, self._seq, event))
 
     def peek(self) -> Optional[int]:
         """Time of the next scheduled event, or None if the queue is empty."""
-        return self._sched.peek_time()
+        heap = self._heap
+        return heap[0][0] if heap else None
+
+    def pending(self) -> List[Entry]:
+        """Every queued ``(when, priority, seq, event)`` entry, in dispatch
+        order (for audits, checkpoints and post-mortems).  Seqs are
+        unique, so the sort never compares two events."""
+        return sorted(self._heap)
 
     def step(self) -> None:
         """Process the single next event."""
-        sched = self._sched
-        if not len(sched):
+        if not self._heap:
             raise SimError("step() on an empty event queue")
-        when, prio, frame = sched.pop_frame()
-        for seq, ev in frame[1:]:
-            sched.push(when, prio, seq, ev)
-        event = frame[0][1]
+        when, _prio, _seq, event = heappop(self._heap)
         self._now = when
         event._run_callbacks()
         crash = self._crash
@@ -622,7 +603,7 @@ class SimKernel:
             return self._run_loop(until)
         frames0, events0 = self._frames, self._events
         with tracer.span("engine.run", track="kernel",
-                         pending=len(self._sched)):
+                         pending=len(self._heap)):
             result = self._run_loop(until)
             tracer.instant("engine.frames", track="kernel",
                            frames=self._frames - frames0,
@@ -632,9 +613,10 @@ class SimKernel:
     def _run_loop(self, until: Optional[int] = None) -> None:
         """The actual event loop (see :meth:`run`).
 
-        The frame dispatch is inlined — the per-event bookkeeping is the
-        simulator's hottest code, and method calls plus repeated
-        attribute loads are measurable at millions of events.
+        Frame popping and dispatch are inlined — the per-event
+        bookkeeping is the simulator's hottest code, and method calls
+        plus repeated attribute loads are measurable at millions of
+        events.
         """
         if until is not None and until < self._now:
             raise SimError(f"until={until} is in the past (now={self._now})")
@@ -642,18 +624,23 @@ class SimKernel:
         _active_kernel = self
         frames = 0
         events = 0
-        sched = self._sched
-        pop_frame = sched.pop_frame
-        push = sched.push
+        heap = self._heap
         timeout_pool = self._timeout_pool
         event_pool = self._event_pool
         pool_max = self._POOL_MAX
         try:
-            while len(sched):
-                if until is not None and sched.peek_time() > until:
+            while heap:
+                if until is not None and heap[0][0] > until:
                     self._now = until
                     return
-                when, prio, frame = pop_frame()
+                # pop the frame: every entry sharing the minimal
+                # (when, priority) key, in seq order
+                entry = heappop(heap)
+                when = entry[0]
+                prio = entry[1]
+                frame = [entry]
+                while heap and heap[0][0] == when and heap[0][1] == prio:
+                    frame.append(heappop(heap))
                 self._now = when
                 frames += 1
                 self._frame = frame
@@ -662,7 +649,7 @@ class SimKernel:
                 i = 0
                 try:
                     while i < len(frame):
-                        event = frame[i][1]
+                        event = frame[i][3]
                         i += 1
                         callbacks = event.callbacks
                         event.callbacks = None
@@ -689,9 +676,9 @@ class SimKernel:
                     events += i
                     if i < len(frame):
                         # preempted (or crashed): the unprocessed tail
-                        # goes back to the scheduler in original order
+                        # goes back on the heap under its original seqs
                         for entry in frame[i:]:
-                            push(when, prio, entry[0], entry[1])
+                            heappush(heap, entry)
         finally:
             self._frames += frames
             self._events += events

@@ -252,8 +252,8 @@ class PageTable:
         and return their frames in page order.
 
         All or nothing: every page must be mapped (else
-        :class:`TranslationFault`) and none pinned (else ValueError), and
-        both are checked before anything is removed.
+        :class:`TranslationFault`, checked first) and none pinned (else
+        ValueError), and both are checked before anything is removed.
         """
         if vaddr % page_size:
             raise ValueError(f"unaligned unmap {vaddr:#x} ({page_size} B page)")
@@ -266,11 +266,12 @@ class PageTable:
                 raise TranslationFault(cursor)
             lo = (cursor - run.base) // page_size
             hi = min(run.n_pages, (end - run.base + page_size - 1) // page_size)
+            pieces.append((run, lo, hi))
+            cursor = run.vaddr(hi)
+        for run, lo, hi in pieces:
             for seg_lo, _, count in run.pin_levels(lo, hi) if run.pins else ():
                 if count > 0:
                     raise ValueError(f"cannot unmap pinned page {run.vaddr(seg_lo):#x}")
-            pieces.append((run, lo, hi))
-            cursor = run.vaddr(hi)
         freed = array("Q")
         for run, lo, hi in pieces:
             freed += run.frames[lo:hi]

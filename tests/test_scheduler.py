@@ -1,15 +1,16 @@
-"""Scheduler pinning: the calendar queue against the reference heap.
+"""The event queue against its oracle, ``sorted()``.
 
 Four layers of guarantees:
 
-- :class:`CalendarScheduler` unit behaviour — cross-bucket ordering,
-  overflow migration, the rewind path, frame grouping;
-- property-based equivalence (hypothesis): arbitrary entry streams and
-  arbitrary kernel programs (timeouts, same-tick ties, urgent
-  interrupts, zero-delay completions, far-horizon sleeps) dispatch in
-  byte-identical order under ``heap`` and ``calendar``;
+- dispatch order: arbitrary ``(when, priority)`` schedules run in
+  ``sorted((when, priority, seq))`` order, one frame per key;
+- property-based kernel programs (hypothesis): timeouts, same-tick
+  ties, urgent interrupts, zero-delay completions and far-horizon
+  sleeps log non-decreasing ticks, every sleeper wakes exactly at spawn
+  + delay unless interrupted, and same-tick twins wake in spawn order;
+  a fixed reference program's log is pinned literally;
 - same-tick fusion and urgent preemption of the live dispatch frame;
-- the PR's kernel bugfix regressions: explicit event ownership
+- the kernel bugfix regressions: explicit event ownership
   (``hold``/``release`` instead of the refcount-recycling heuristic),
   ``run(until=...)`` never fast-forwarding past a drained queue, and
   pooled ``Timeout`` reset being indistinguishable from construction.
@@ -21,140 +22,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import (
-    SCHEDULERS,
-    CalendarScheduler,
-    Event,
-    HeapScheduler,
-    Interrupt,
-    SimError,
-    SimKernel,
-    Timeout,
-)
+from repro.engine import Event, Interrupt, SimError, SimKernel, Timeout
 from repro.engine.core import NORMAL, URGENT
-from repro.engine.sched import make_scheduler
 
-#: one full lap of the default ring: 2048 buckets x 2**7 ticks
-RING_HORIZON = 2048 << 7
+#: offset of the far-horizon sleeps in the kernel programs below
+FAR = 2048 << 7
 
 
-@pytest.fixture(params=sorted(SCHEDULERS))
-def kernel(request):
-    """One kernel per registered scheduler — every test in this module
-    that takes `kernel` runs under both."""
-    return SimKernel(request.param)
+@pytest.fixture
+def kernel():
+    return SimKernel()
 
 
 # ---------------------------------------------------------------------------
-# registry
-# ---------------------------------------------------------------------------
-
-
-def test_registry_kinds():
-    assert make_scheduler("heap").kind == "heap"
-    assert make_scheduler("calendar").kind == "calendar"
-    assert SimKernel("calendar").scheduler_kind == "calendar"
-
-
-def test_unknown_scheduler_rejected():
-    with pytest.raises(ValueError, match="unknown scheduler"):
-        make_scheduler("splay")
-    with pytest.raises(ValueError):
-        SimKernel("splay")
-
-
-def test_calendar_requires_power_of_two_buckets():
-    with pytest.raises(ValueError, match="power of two"):
-        CalendarScheduler(n_buckets=3)
-
-
-# ---------------------------------------------------------------------------
-# CalendarScheduler unit behaviour
-# ---------------------------------------------------------------------------
-
-
-class TestCalendarUnit:
-    def test_orders_across_buckets(self):
-        cal = CalendarScheduler()
-        times = [513, 0, 128, 3, 129, 7000, 127, 512]
-        for seq, when in enumerate(times):
-            cal.push(when, NORMAL, seq, f"ev{seq}")
-        assert len(cal) == len(times)
-        popped = []
-        while len(cal):
-            when, prio, frame = cal.pop_frame()
-            assert prio == NORMAL
-            popped.extend((when, seq) for seq, _ in frame)
-        assert popped == sorted((when, seq) for seq, when in enumerate(times))
-
-    def test_frame_groups_key_equal_entries_in_seq_order(self):
-        cal = CalendarScheduler()
-        cal.push(40, NORMAL, 1, "a")
-        cal.push(50, NORMAL, 2, "later")
-        cal.push(40, NORMAL, 3, "b")
-        cal.push(40, URGENT, 4, "urgent")
-        when, prio, frame = cal.pop_frame()
-        assert (when, prio) == (40, URGENT)
-        assert frame == [(4, "urgent")]
-        when, prio, frame = cal.pop_frame()
-        assert (when, prio) == (40, NORMAL)
-        assert frame == [(1, "a"), (3, "b")]
-        assert cal.pop_frame() == (50, NORMAL, [(2, "later")])
-
-    def test_far_events_overflow_then_migrate(self):
-        cal = CalendarScheduler()
-        far = RING_HORIZON + 12345
-        cal.push(far, NORMAL, 1, "far")
-        assert cal._overflow and cal._count == 0  # beyond the ring horizon
-        cal.push(10, NORMAL, 2, "near")
-        assert cal.peek_time() == 10
-        assert cal.pop_frame() == (10, NORMAL, [(2, "near")])
-        # popping the near event advances the cursor; the far entry now
-        # fits the ring and must migrate out of the overflow heap
-        assert cal.pop_frame() == (far, NORMAL, [(1, "far")])
-        assert not cal._overflow and len(cal) == 0
-
-    def test_drained_ring_jumps_to_overflow_minimum(self):
-        cal = CalendarScheduler()
-        cal.push(10_000_000, NORMAL, 1, "deep")
-        cal.push(90_000_000, NORMAL, 2, "deeper")
-        assert cal.peek_time() == 10_000_000
-        assert cal.pop_frame()[2] == [(1, "deep")]
-        assert cal.pop_frame()[2] == [(2, "deeper")]
-
-    def test_push_below_cursor_rewinds(self):
-        cal = CalendarScheduler()
-        cal.push(10_000_000, NORMAL, 1, "deep")
-        cal.push(10_000_400, NORMAL, 2, "deep2")
-        assert cal.pop_frame()[2] == [(1, "deep")]
-        # the cursor now sits at slot 10_000_000 >> 7; a push far below
-        # it must rebuild the ring around the new minimum, keeping the
-        # still-pending deep entry
-        cal.push(5, NORMAL, 3, "early")
-        assert cal.entries() == [
-            (5, NORMAL, 3, "early"),
-            (10_000_400, NORMAL, 2, "deep2"),
-        ]
-        assert cal.pop_frame() == (5, NORMAL, [(3, "early")])
-        assert cal.pop_frame() == (10_000_400, NORMAL, [(2, "deep2")])
-
-    def test_entries_and_clear(self):
-        cal = CalendarScheduler()
-        cal.push(99, NORMAL, 1, "x")
-        cal.push(RING_HORIZON * 3, NORMAL, 2, "y")
-        assert [e[0] for e in cal.entries()] == [99, RING_HORIZON * 3]
-        cal.clear()
-        assert len(cal) == 0
-        assert cal.peek_time() is None
-        assert cal.entries() == []
-
-
-# ---------------------------------------------------------------------------
-# property: heap and calendar are byte-identical
+# oracle: dispatch order is sorted((when, priority, seq)), one frame per key
 # ---------------------------------------------------------------------------
 
 _entry_lists = st.lists(
-    st.tuples(st.integers(0, 1 << 22), st.integers(0, 1)),
+    st.tuples(st.integers(0, 1 << 22), st.sampled_from([URGENT, NORMAL])),
     min_size=1,
     max_size=200,
 )
@@ -162,51 +47,44 @@ _entry_lists = st.lists(
 
 @settings(max_examples=100, deadline=None)
 @given(_entry_lists)
-def test_schedulers_pop_identical_frames(entries):
-    heap, cal = HeapScheduler(), CalendarScheduler()
-    for seq, (when, prio) in enumerate(entries):
-        heap.push(when, prio, seq, seq)
-        cal.push(when, prio, seq, seq)
-    assert heap.entries() == cal.entries()
-    while len(heap):
-        assert heap.pop_frame() == cal.pop_frame()
-    assert len(cal) == 0
+def test_dispatch_follows_sorted_order_in_frames(entries):
+    k = SimKernel()
+    log = []
+    for when, prio in entries:
+        ev = Event(k)
+        ev._triggered = True
+        seq = k._seq + 1
+        # the head of the live frame names the frame this event ran in
+        ev.callbacks.append(
+            lambda _ev, prio=prio, seq=seq: log.append((k.now, prio, seq, k._frame[0][2]))
+        )
+        k._schedule(ev, when, prio)
+    keyed = sorted((when, prio, seq) for seq, (when, prio) in enumerate(entries, 1))
+    assert [e[:3] for e in k.pending()] == keyed
+    heads = {}
+    for when, prio, seq in keyed:
+        heads.setdefault((when, prio), seq)
+    k.run()
+    assert log == [(when, prio, seq, heads[when, prio]) for when, prio, seq in keyed]
+    assert k._frames == len(heads)
+    assert k._events == len(entries)
+    assert k.pending() == [] and k.peek() is None
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(
-        st.one_of(
-            st.tuples(st.just("push"), st.integers(0, 1 << 21), st.integers(0, 1)),
-            st.tuples(st.just("pop"), st.just(0), st.just(0)),
-        ),
-        min_size=1,
-        max_size=120,
-    )
-)
-def test_interleaved_push_pop_equivalence(ops):
-    """Pops interleaved with pushes — including pushes *below* entries
-    already popped, which drives the calendar's rewind path."""
-    heap, cal = HeapScheduler(), CalendarScheduler()
-    seq = 0
-    for op, when, prio in ops:
-        if op == "push":
-            seq += 1
-            heap.push(when, prio, seq, seq)
-            cal.push(when, prio, seq, seq)
-        elif len(heap):
-            assert heap.pop_frame() == cal.pop_frame()
-    while len(heap):
-        assert heap.pop_frame() == cal.pop_frame()
-    assert len(cal) == 0
+# ---------------------------------------------------------------------------
+# oracle: kernel programs
+# ---------------------------------------------------------------------------
 
 
-def _run_program(scheduler: str, ops):
-    """Execute one op-list program and return its full dispatch log."""
-    k = SimKernel(scheduler)
+def _run_program(ops):
+    """Execute one op-list program; return its dispatch log, each
+    sleeper's ``(spawn tick, delay)`` and each interrupted sleeper's
+    ``(tick, cause)``."""
+    k = SimKernel()
     log = []
     live = []
-    interrupted = set()
+    spawned = {}
+    interrupted = {}
 
     def sleeper(wid, delay):
         try:
@@ -214,6 +92,10 @@ def _run_program(scheduler: str, ops):
             log.append(("wake", k.now, wid))
         except Interrupt as exc:
             log.append(("intr", k.now, wid, exc.cause))
+
+    def spawn(wid, delay):
+        spawned[wid] = (k.now, delay)
+        live.append((wid, k.process(sleeper(wid, delay))))
 
     def waiter(ev, wid):
         try:
@@ -225,20 +107,21 @@ def _run_program(scheduler: str, ops):
     def driver():
         for wid, (kind, delay, gap) in enumerate(ops):
             if kind == 0:
-                live.append(k.process(sleeper(wid, delay)))
+                spawn(wid, delay)
             elif kind == 1:  # same-tick tie: two sleepers, one wake tick
-                live.append(k.process(sleeper((wid, "a"), delay)))
-                live.append(k.process(sleeper((wid, "b"), delay)))
-            elif kind == 2:  # beyond the calendar ring horizon
-                live.append(k.process(sleeper(wid, delay * 3000 + RING_HORIZON)))
+                spawn((wid, "a"), delay)
+                spawn((wid, "b"), delay)
+            elif kind == 2:  # far-horizon sleep
+                spawn(wid, delay * 3000 + FAR)
             elif kind == 3:  # urgent interrupt of the oldest live sleeper
                 target = next(
-                    (p for p in live if p.is_alive and p not in interrupted),
+                    ((tid, p) for tid, p in live
+                     if p.is_alive and tid not in interrupted),
                     None,
                 )
                 if target is not None:
-                    interrupted.add(target)
-                    target.interrupt(cause=wid)
+                    interrupted[target[0]] = (k.now, wid)
+                    target[1].interrupt(cause=wid)
             else:  # zero-delay completion racing the current frame
                 ev = k.event()
                 k.process(waiter(ev, wid))
@@ -253,7 +136,7 @@ def _run_program(scheduler: str, ops):
     k.process(driver(), name="driver")
     k.run()
     log.append(("end", k.now))
-    return log
+    return log, spawned, interrupted
 
 
 _programs = st.lists(
@@ -265,13 +148,52 @@ _programs = st.lists(
 
 @settings(max_examples=60, deadline=None)
 @given(_programs)
-def test_heap_calendar_equivalent_programs(ops):
-    assert _run_program("heap", ops) == _run_program("calendar", ops)
+def test_programs_match_the_timing_oracle(ops):
+    log, spawned, interrupted = _run_program(ops)
+    ticks = [entry[1] for entry in log]
+    assert ticks == sorted(ticks)
+    woke = {entry[2]: (i, entry[1]) for i, entry in enumerate(log)
+            if entry[0] == "wake"}
+    cut = {entry[2]: (entry[1], entry[3]) for entry in log if entry[0] == "intr"}
+    # every sleeper ends exactly once: interrupted at the tick the
+    # interrupt was issued, or woken exactly at spawn + delay
+    assert len(woke) + len(cut) == len(spawned)
+    assert cut == interrupted
+    for wid, (_i, tick) in woke.items():
+        start, delay = spawned[wid]
+        assert tick == start + delay
+    # same-tick twins wake in spawn order
+    for wid, (i, _tick) in woke.items():
+        if isinstance(wid, tuple) and wid[1] == "a" and (wid[0], "b") in woke:
+            assert i < woke[wid[0], "b"][0]
 
 
-def test_heap_calendar_equivalent_reference_program():
+#: the dispatch log of the reference program below, as the kernel first
+#: produced it
+REFERENCE_LOG = [
+    ("drv", 5, 0),
+    ("err", 5, 2),
+    ("drv", 7, 2),
+    ("drv", 8, 3),
+    ("intr", 8, 0, 4),
+    ("wake", 12, (1, "a")),
+    ("wake", 12, (1, "b")),
+    ("drv", 12, 4),
+    ("ok", 12, 6, 6),
+    ("wake", 12, (5, "a")),
+    ("wake", 12, (5, "b")),
+    ("drv", 21, 6),
+    ("intr", 21, 3, 7),
+    ("wake", 21, 8),
+    ("drv", 51, 8),
+    ("wake", 265195, 9),
+    ("end", 562151),
+]
+
+
+def test_reference_program_log():
     """A fixed program touching every op kind — runs without hypothesis
-    so a plain ``pytest tests/test_scheduler.py`` still pins the kernels."""
+    so a plain ``pytest tests/test_scheduler.py`` still pins the kernel."""
     ops = [
         (0, 10, 5),
         (1, 7, 0),
@@ -284,9 +206,7 @@ def test_heap_calendar_equivalent_reference_program():
         (0, 0, 30),
         (2, 1, 0),
     ]
-    heap_log = _run_program("heap", ops)
-    assert heap_log == _run_program("calendar", ops)
-    assert len(heap_log) > 10  # the program actually did something
+    assert _run_program(ops)[0] == REFERENCE_LOG
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +227,7 @@ def test_same_tick_cascade_fuses_into_one_frame(kernel):
     assert done == [0]
     # one URGENT frame (the Initialize) plus one NORMAL frame holding
     # all ten zero-delay timeouts and the process-completion event —
-    # fusion keeps the scheduler out of the cascade entirely
+    # fusion keeps the heap out of the cascade entirely
     assert kernel._frames == 2
     assert kernel._events == 12
 
@@ -456,8 +376,8 @@ class TestRunUntil:
         assert order == [10, 2010]
 
     def test_spawn_after_early_stop(self, kernel):
-        """New work scheduled below the stopped scan point — on the
-        calendar this pushes below the advanced cursor and must rewind."""
+        """New work scheduled below the stopped scan point still runs
+        first."""
         hits = []
 
         def late():
