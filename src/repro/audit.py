@@ -179,7 +179,7 @@ def _audit_proc_memory(proc, machine, label: str) -> List[Violation]:
     # TLB's page size.  A vpage with no VMA is benign staleness — real
     # hardware keeps entries after munmap until eviction or shootdown.
     for size, tlb_name in ((PAGE_4K, "tlb.4k"), (PAGE_2M, "tlb.2m")):
-        for vpage in proc.engine.tlb._arrays[size]:
+        for vpage in proc.engine.tlb.entries(size):
             vma = aspace.find_vma(vpage)
             if vma is not None and aspace.page_table.find(size, vpage) is None:
                 violations.append(Violation(
@@ -193,7 +193,7 @@ def _audit_proc_memory(proc, machine, label: str) -> List[Violation]:
                 ))
     total = machine.physical.total_bytes
     line_size = proc.engine.cache.config.line_size
-    for line in proc.engine.cache._lines:
+    for line in proc.engine.cache.lines():
         paddr = line * line_size
         if not (0 <= paddr < total):
             violations.append(Violation(

@@ -6,10 +6,17 @@ The simulator keeps two implementations of every hot costing routine:
   cache line, per page, per translation entry) through the stateful
   hardware models — simple to audit, and the behaviour every test and
   figure was originally validated against;
-- a **fast path** that computes the same result in bulk: LRU sweeps are
-  replayed with set arithmetic instead of per-key method calls, page
-  walks come from a per-VMA translation cache, and counters are updated
-  once per phase instead of once per element.
+- a **fast path** that computes the same result in bulk: a TLB or cache
+  sweep is one call into the model's run-length LRU
+  (:class:`repro.mem.lru.RunLRU`) instead of one call per page or line,
+  page walks read a page-table run's frame array, and counters are
+  updated once per phase instead of once per element.
+
+The run-length LRU keeps recency as runs of consecutive keys and decides
+each run's part of a sweep with the LRU stack-distance rule: a key hits
+iff fewer than ``capacity`` distinct keys were touched since its last
+access.  Both paths go through it (the reference path one key at a
+time), so they share one LRU implementation.
 
 Both paths are required to be *equivalent*: identical reported ticks,
 identical counter values, identical model state afterwards (TLB/cache/
@@ -122,81 +129,3 @@ def fold_forced(flag: bool) -> Iterator[None]:
     finally:
         _fold = prior
 
-
-def lru_sweep(array: "dict", first_key: int, n_keys: int, stride: int, capacity: int):
-    """Replay a sequential LRU sweep in bulk; returns ``(hits, misses)``.
-
-    *array* is an ``OrderedDict``-like LRU map (front = least recently
-    used) whose integer keys are compared against the arithmetic key
-    sequence ``first_key, first_key + stride, ...`` (*n_keys* keys).
-    The replay is **exact**: hit/miss totals and the final content *and
-    order* of *array* match a key-by-key replay of::
-
-        for key in keys:
-            if key in array: array.move_to_end(key)          # hit
-            else:                                            # miss
-                while len(array) >= capacity: array.popitem(last=False)
-                array[key] = True
-
-    The common cases (no swept key resident; every swept key resident)
-    cost ``O(len(array))`` / ``O(n_keys bounded by capacity)`` instead
-    of ``O(n_keys)`` dict traffic; mixed residency falls back to an
-    in-line exact replay.
-    """
-    end = first_key + n_keys * stride
-    resident = 0
-    if len(array) <= n_keys:
-        for key in array:
-            if first_key <= key < end and (key - first_key) % stride == 0:
-                resident += 1
-    else:
-        for key in range(first_key, end, stride):
-            if key in array:
-                resident += 1
-    if resident == 0:
-        # all misses: survivors of the old content, then the new keys
-        # (inserted via dict.fromkeys/update so the per-key loop runs in C)
-        if n_keys >= capacity:
-            array.clear()
-            array.update(dict.fromkeys(range(end - capacity * stride, end, stride), True))
-        else:
-            overflow = len(array) + n_keys - capacity
-            for _ in range(overflow if overflow > 0 else 0):
-                array.popitem(last=False)
-            array.update(dict.fromkeys(range(first_key, end, stride), True))
-        return 0, n_keys
-    if resident == n_keys:
-        # all hits: no insertions, so no evictions — refresh LRU order
-        for key in range(first_key, end, stride):
-            array.move_to_end(key)
-        return n_keys, 0
-    # Repeated long sweep: the array holds exactly the *last* `capacity`
-    # sweep keys in sweep order (the state any >=capacity sweep leaves
-    # behind).  With n >= 2*capacity every one of those residents is
-    # evicted before the cursor reaches it — the first (n - capacity)
-    # misses each evict the oldest entry, and n - capacity >= capacity
-    # drains the whole array — so the sweep is all misses and ends in the
-    # same state it started in.  O(capacity) instead of an O(n) replay.
-    if (
-        resident == capacity
-        and len(array) == capacity
-        and n_keys >= 2 * capacity
-    ):
-        tail = end - capacity * stride
-        if all(key == expect for key, expect in zip(array, range(tail, end, stride))):
-            # the replay re-inserts those same keys in the same order:
-            # the array is already in its final state
-            return 0, n_keys
-    # mixed residency: exact in-line replay (no per-key method calls)
-    hits = 0
-    pop = array.popitem
-    move = array.move_to_end
-    for key in range(first_key, end, stride):
-        if key in array:
-            move(key)
-            hits += 1
-        else:
-            while len(array) >= capacity:
-                pop(last=False)
-            array[key] = True
-    return hits, n_keys - hits

@@ -16,13 +16,12 @@ access engine for phase-level costing of millions of accesses) live here.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.analysis.counters import CounterSet
-from repro.fastpath import lru_sweep
-from repro.mem.physical import PAGE_2M, PAGE_4K, align_down
+from repro.mem.lru import RunLRU
+from repro.mem.physical import PAGE_2M, PAGE_4K
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,12 @@ class TLBConfig:
 
 
 class SplitTLB:
-    """Stateful fully-associative LRU TLB with per-page-size arrays."""
+    """Stateful fully-associative LRU TLB with per-page-size arrays.
+
+    Each array is a :class:`~repro.mem.lru.RunLRU` keyed on page numbers
+    (``vpage // page_size``), so a sweep over many pages costs O(runs)
+    of resident pages rather than O(pages).
+    """
 
     #: counter names per page size, precomputed so the hot translation
     #: path never rebuilds (and re-hashes) f-strings
@@ -86,8 +90,8 @@ class SplitTLB:
         self.config = config
         self.counters = counters if counters is not None else CounterSet()
         self._arrays = {
-            PAGE_4K: OrderedDict(),
-            PAGE_2M: OrderedDict(),
+            PAGE_4K: RunLRU(config.entries_4k),
+            PAGE_2M: RunLRU(config.entries_2m),
         }
 
     def access(self, vaddr: int, page_size: int) -> Tuple[bool, float]:
@@ -96,17 +100,10 @@ class SplitTLB:
         A hit costs nothing extra; a miss costs a page walk and installs
         the translation, evicting LRU if the array is full.
         """
-        array = self._arrays[page_size]
-        vpage = align_down(vaddr, page_size)
-        if vpage in array:
-            array.move_to_end(vpage)
+        if self._arrays[page_size].access(vaddr // page_size):
             self.counters.add(self._HIT_NAMES[page_size])
             return True, 0.0
         self.counters.add(self._MISS_NAMES[page_size])
-        capacity = self.config.entries_for(page_size)
-        while len(array) >= capacity:
-            array.popitem(last=False)
-        array[vpage] = True
         return False, self.config.walk_ns(page_size)
 
     def sweep(self, vbase: int, n_pages: int, page_size: int) -> Tuple[int, int, float]:
@@ -122,13 +119,8 @@ class SplitTLB:
             raise ValueError(f"n_pages must be positive, got {n_pages}")
         if vbase % page_size:
             raise ValueError(f"unaligned sweep base {vbase:#x}")
-        hits, misses = lru_sweep(
-            self._arrays[page_size],
-            vbase,
-            n_pages,
-            page_size,
-            self.config.entries_for(page_size),
-        )
+        hits = self._arrays[page_size].sweep(vbase // page_size, n_pages)
+        misses = n_pages - hits
         if hits:
             self.counters.add(self._HIT_NAMES[page_size], hits)
         if misses:
@@ -144,19 +136,25 @@ class SplitTLB:
         """Number of live entries in the array for *page_size*."""
         return len(self._arrays[page_size])
 
+    def holds(self, vaddr: int, page_size: int) -> bool:
+        """True while the *page_size* array translates *vaddr*'s page."""
+        return vaddr // page_size in self._arrays[page_size]
+
+    def entries(self, page_size: int) -> List[int]:
+        """Page addresses live in the *page_size* array, in LRU order
+        (oldest first)."""
+        return [page * page_size for page in self._arrays[page_size]]
+
     # -- checkpointing ------------------------------------------------------
     def dump_state(self) -> dict:
-        """Picklable snapshot: per-array entry keys in LRU order
+        """Picklable snapshot: per-array page addresses in LRU order
         (oldest first), so a restore reproduces eviction order exactly."""
-        return {size: list(array) for size, array in self._arrays.items()}
+        return {size: self.entries(size) for size in self._arrays}
 
     def load_state(self, state: dict) -> None:
         """Restore a :meth:`dump_state` snapshot."""
-        for size, keys in state.items():
-            array = self._arrays[size]
-            array.clear()
-            for key in keys:
-                array[key] = True
+        for size, vpages in state.items():
+            self._arrays[size].load_state(vpage // size for vpage in vpages)
 
     # -- analytic steady-state helpers ------------------------------------
     def analytic_stream_misses(self, nbytes: int, page_size: int) -> int:

@@ -103,7 +103,7 @@ class TestSeededCorruptionIsDetected:
         vma = proc.aspace.mmap(64 * KB)
         # the TLB caches a translation the page table no longer has,
         # while the VMA is still live — a real use-after-unmap window
-        proc.engine.tlb._arrays[PAGE_4K][vma.start] = True
+        proc.engine.tlb.access(vma.start, PAGE_4K)
         proc.aspace.page_table.unmap(vma.start, PAGE_4K)
         violations = audit_cluster(cluster)
         assert "tlb-dangling" in _checks(violations)

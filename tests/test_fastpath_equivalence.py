@@ -4,7 +4,7 @@ Every batched costing routine in the simulator must be *bit-equivalent*
 to the per-element reference loop it replaces: identical reported ticks,
 identical counter values, identical model state afterwards (LRU content
 and order, pin counts).  These tests enforce that property-style, from
-the shared LRU-sweep primitive all the way up to whole figure drivers —
+the shared run-length LRU all the way up to whole figure drivers —
 including runs with an active :class:`~repro.faults.FaultPlan`, where
 the HCA must fall back to the per-packet machinery on both settings of
 the toggle.
@@ -19,7 +19,6 @@ import pytest
 from repro import fastpath
 from repro.analysis import CounterSet
 from repro.engine import SimKernel, TickClock
-from repro.fastpath import lru_sweep
 from repro.ib.att import ATTCache, ATTConfig
 from repro.ib.link import IBLink, LinkConfig
 from repro.mem import (
@@ -32,6 +31,7 @@ from repro.mem import (
     TLBConfig,
 )
 from repro.mem.access import MemoryAccessEngine
+from repro.mem.lru import RunLRU
 from repro.mem.tlb import SplitTLB
 
 KB = 1024
@@ -39,13 +39,13 @@ MB = 1024 * 1024
 
 
 # ---------------------------------------------------------------------------
-# the shared primitive: lru_sweep
+# the shared primitive: RunLRU
 # ---------------------------------------------------------------------------
 
-def _replay_reference(array, first_key, n_keys, stride, capacity):
-    """The key-by-key loop lru_sweep's docstring promises to match."""
+def _replay_reference(array, first_key, n_keys, capacity):
+    """The key-by-key OrderedDict loop RunLRU promises to match."""
     hits = 0
-    for key in range(first_key, first_key + n_keys * stride, stride):
+    for key in range(first_key, first_key + n_keys):
         if key in array:
             array.move_to_end(key)
             hits += 1
@@ -53,7 +53,23 @@ def _replay_reference(array, first_key, n_keys, stride, capacity):
             while len(array) >= capacity:
                 array.popitem(last=False)
             array[key] = True
-    return hits, n_keys - hits
+    return hits
+
+
+def _assert_same(lru, ref):
+    assert lru.dump_state() == list(ref)
+    assert len(lru) == len(ref)
+
+
+lru_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("access"), st.integers(min_value=0, max_value=60)),
+        st.tuples(st.just("sweep"), st.integers(min_value=0, max_value=50),
+                  st.integers(min_value=1, max_value=80)),
+        st.tuples(st.just("roundtrip")),
+    ),
+    min_size=1, max_size=30,
+)
 
 
 class TestLRUSweepPrimitive:
@@ -61,21 +77,16 @@ class TestLRUSweepPrimitive:
         pre=st.lists(st.integers(min_value=0, max_value=60), max_size=60),
         first=st.integers(min_value=0, max_value=50),
         n=st.integers(min_value=1, max_value=120),
-        stride=st.sampled_from([1, 2, 4]),
         capacity=st.integers(min_value=1, max_value=24),
     )
     @settings(max_examples=200, deadline=None)
-    def test_matches_reference_replay(self, pre, first, n, stride, capacity):
-        fast, ref = OrderedDict(), OrderedDict()
-        # identical pre-state, built through the reference access pattern
-        # on the sweep's key grid so hits/evictions actually occur
+    def test_matches_reference_replay(self, pre, first, n, capacity):
+        lru, ref = RunLRU(capacity), OrderedDict()
+        # identical pre-state, built key by key so hits/evictions occur
         for k in pre:
-            _replay_reference(fast, k * stride, 1, stride, capacity)
-            _replay_reference(ref, k * stride, 1, stride, capacity)
-        got = lru_sweep(fast, first * stride, n, stride, capacity)
-        want = _replay_reference(ref, first * stride, n, stride, capacity)
-        assert got == want
-        assert list(fast.items()) == list(ref.items())
+            assert lru.access(k) == bool(_replay_reference(ref, k, 1, capacity))
+        assert lru.sweep(first, n) == _replay_reference(ref, first, n, capacity)
+        _assert_same(lru, ref)
 
     @given(
         capacity=st.integers(min_value=1, max_value=8),
@@ -84,14 +95,62 @@ class TestLRUSweepPrimitive:
     )
     @settings(max_examples=60, deadline=None)
     def test_repeated_long_sweep_shortcut(self, capacity, rounds, factor):
-        """Back-to-back >=2x-capacity sweeps hit the O(capacity) case."""
+        """Back-to-back >=2x-capacity sweeps: all misses, same state."""
         n = factor * capacity
-        fast, ref = OrderedDict(), OrderedDict()
+        lru, ref = RunLRU(capacity), OrderedDict()
         for _ in range(rounds):
-            got = lru_sweep(fast, 0, n, 1, capacity)
-            want = _replay_reference(ref, 0, n, 1, capacity)
-            assert got == want
-            assert list(fast.items()) == list(ref.items())
+            assert lru.sweep(0, n) == _replay_reference(ref, 0, n, capacity)
+            _assert_same(lru, ref)
+
+    @given(ops=lru_ops,
+           capacity=st.one_of(st.just(1), st.integers(min_value=2, max_value=24)))
+    @settings(max_examples=300, deadline=None)
+    def test_interleaved_access_sweep_and_roundtrip(self, ops, capacity):
+        """Single-key accesses between sweeps, and a dump_state ->
+        load_state round trip (into a fresh LRU) mid-sequence; about
+        half the examples run at capacity 1."""
+        lru, ref = RunLRU(capacity), OrderedDict()
+        for op in ops:
+            if op[0] == "access":
+                hit = _replay_reference(ref, op[1], 1, capacity)
+                assert lru.access(op[1]) == bool(hit)
+            elif op[0] == "sweep":
+                want = _replay_reference(ref, op[1], op[2], capacity)
+                assert lru.sweep(op[1], op[2]) == want
+            else:
+                restored = RunLRU(capacity)
+                restored.load_state(lru.dump_state())
+                lru = restored
+            _assert_same(lru, ref)
+
+    @given(
+        pre=st.permutations(list(range(24))),
+        keep=st.integers(min_value=0, max_value=24),
+        sweeps=st.lists(
+            st.tuples(st.integers(min_value=0, max_value=30),
+                      st.integers(min_value=1, max_value=40)),
+            min_size=1, max_size=6,
+        ),
+        capacity=st.integers(min_value=1, max_value=24),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_fragmented_pre_state(self, pre, keep, sweeps, capacity):
+        """A shuffled pre-state: up to one run per key, split and merged
+        by the sweeps that follow."""
+        keys = pre[:min(keep, capacity)]
+        lru, ref = RunLRU(capacity), OrderedDict.fromkeys(keys, True)
+        lru.load_state(keys)
+        _assert_same(lru, ref)
+        for first, n in sweeps:
+            assert lru.sweep(first, n) == _replay_reference(ref, first, n, capacity)
+            _assert_same(lru, ref)
+
+    def test_load_state_keeps_the_newest_keys(self):
+        lru = RunLRU(3)
+        lru.load_state([7, 1, 2, 3, 9])
+        assert lru.dump_state() == [2, 3, 9]
+        with pytest.raises(ValueError):
+            RunLRU(0)
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +172,7 @@ class TestSweepEquivalence:
         fast_counters, ref_counters = CounterSet(), CounterSet()
         fast_tlb = SplitTLB(config, fast_counters)
         ref_tlb = SplitTLB(config, ref_counters)
+        oracle = OrderedDict()
         for page, n_pages in ops:
             got = fast_tlb.sweep(page * PAGE_4K, n_pages, PAGE_4K)
             hits = misses = 0
@@ -123,8 +183,9 @@ class TestSweepEquivalence:
                 misses += not hit
                 ns += extra
             assert got == (hits, misses, ns)
-            assert list(fast_tlb._arrays[PAGE_4K].items()) == \
-                list(ref_tlb._arrays[PAGE_4K].items())
+            assert hits == _replay_reference(oracle, page, n_pages, entries)
+            assert fast_tlb.dump_state() == ref_tlb.dump_state()
+            assert fast_tlb.entries(PAGE_4K) == [k * PAGE_4K for k in oracle]
         assert fast_counters.snapshot() == ref_counters.snapshot()
 
     @given(
@@ -214,11 +275,8 @@ class TestAccessEngineEquivalence:
             assert fast_cost == ref_cost, (kind, offset, nbytes, write)
         assert fast_engine.counters.snapshot() == \
             ref_engine.counters.snapshot()
-        for page_size in (PAGE_4K, PAGE_2M):
-            assert list(fast_engine.tlb._arrays[page_size].items()) == \
-                list(ref_engine.tlb._arrays[page_size].items())
-        assert list(fast_engine.cache._lines.items()) == \
-            list(ref_engine.cache._lines.items())
+        assert fast_engine.tlb.dump_state() == ref_engine.tlb.dump_state()
+        assert fast_engine.cache.dump_state() == ref_engine.cache.dump_state()
 
     @staticmethod
     def _apply(engine, kind, base, offset, nbytes, write):
