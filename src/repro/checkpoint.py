@@ -461,8 +461,8 @@ def restore_cluster(payload: dict):
     for index, state in enumerate(payload["nodes"]):
         _restore_machine(cluster, index, state)
 
-    # QPs are recreated through create_qp so each gets a live send-engine
-    # process; identity and connection state are forced afterwards.
+    # QPs are recreated through create_qp so each gets an armed send
+    # engine; identity and connection state are forced afterwards.
     qp_by_key: Dict[tuple, Any] = {}
     for index, state in enumerate(payload["nodes"]):
         node = cluster.nodes[index]
@@ -484,8 +484,6 @@ def restore_cluster(payload: dict):
             qp.qp_num = qstate["qp_num"]
             node.hca._qps[qp.qp_num] = qp
             qp_by_key[(index, qp.qp_num)] = qp
-    # park every send engine on its (empty) send queue
-    cluster.kernel.run()
     for index, state in enumerate(payload["nodes"]):
         for qstate in state["hca"]["qps"]:
             qp = qp_by_key[(index, qstate["qp_num"])]

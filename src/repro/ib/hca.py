@@ -1,4 +1,4 @@
-"""The host channel adapter: work-request processing as DES processes.
+"""The host channel adapter: work-request processing as callback chains.
 
 The §4 execution flow, step by step:
 
@@ -11,9 +11,9 @@ The §4 execution flow, step by step:
 
 Step 1 is CPU work (:meth:`HCA.post_send` — WQE build + doorbell; the
 paper measures it as a near-constant 230–950 TBR ticks).  Steps 2-3 are
-the adapter pipeline (:meth:`HCA._handle_send`): WQE fetch over the bus,
-per-SGE ATT translation and DMA gather, wire transfer, remote scatter,
-CQE write and the RC acknowledgement.  Step 4 is :meth:`HCA.
+the adapter pipeline (:meth:`HCA._tx_begin` onwards): WQE fetch over the
+bus, per-SGE ATT translation and DMA gather, wire transfer, remote
+scatter, CQE write and the RC acknowledgement.  Step 4 is :meth:`HCA.
 wait_completion`.
 
 Scatter/gather economics (§4): the per-WQE costs (doorbell, WQE fetch,
@@ -28,29 +28,30 @@ half-duplex bus (PCI-X) these are the same resource, which is how ATT
 stalls become visible in bandwidth exactly as §5.1 describes for the
 Xeon system.
 
-Event folding
--------------
+One delivery path
+-----------------
 
-On the clean path (no fault plan, no tracer, ``fastpath.fold_enabled()``)
-the per-message generator processes above are replaced by equivalent
-*callback chains*: the same bus holds at the same ticks, the same ATT
-walks at the same points, the same delivery and completion instants —
-but as a handful of scheduled callbacks instead of a spawned process
-with a resume per ``yield``.  A folded send costs 3 kernel events where
-the process form costs ~8; a folded receive costs 3 where the process
-form costs ~7.  Uncontended resource grants are taken synchronously
-(:meth:`repro.engine.resources.Resource.try_acquire`) and fire-and-
-forget queue puts skip their acknowledgement event
-(:meth:`repro.engine.resources.Store.put_nowait`).
+Every message kind — send, RDMA write, RDMA-read request and response,
+ack, and the flush of a WR queued on a QP that left RTS — is carried by
+one *callback chain*: each stage schedules the next as a single kernel
+event at the instant its cost has elapsed, uncontended bus grants are
+taken synchronously (:meth:`repro.engine.resources.Resource.
+try_acquire`) and fire-and-forget queue puts skip their acknowledgement
+event (:meth:`repro.engine.resources.Store.put_nowait`).  A send costs 3
+kernel events, a receive 3.  The chains are the only delivery
+machinery, on both costing paths, so traced, faulted and sanitized runs
+execute the same code as clean runs.
 
-Folding never changes a cost formula, so it is active on BOTH costing
-paths and under the sanitizer (the sanitize hooks are synchronous calls
-and run at the same model points).  Fault plans pin the process
-machinery per-HCA (retransmission needs the watchdog/idempotence
-bookkeeping interleaved with the pipeline), an active tracer pins it
-per-message (the ``ib.tx``/``ib.rx`` spans wrap generator bodies), and
-``REPRO_NO_FOLD=1`` / :func:`repro.fastpath.set_fold` pins it globally
-so equivalence tests can diff the two machineries.
+Observability and fault injection are hooks on the chains.  With a
+tracer installed, :meth:`HCA._tx_begin` opens an ``ib.tx`` span and
+:meth:`HCA._on_arrival` an ``ib.rx`` span; the span record rides down
+the chain as an argument (None when tracing is off) and is closed where
+the chain ends.  Under a fault plan, :meth:`HCA._deliver` drops or
+corrupts packets, :meth:`HCA._on_arrival` suppresses duplicates and
+leaves a message alone while it waits on a receive WR (the sender sees
+RNR), and :meth:`HCA._tx_launch` starts the ack-timeout watchdog — the
+one kernel process the adapter spawns, and the only retransmission
+implementation.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ from repro import fastpath, sanitize, trace
 from repro.analysis.counters import CounterSet
 from repro.engine.clock import TickClock
 from repro.engine.core import NORMAL, Event, SimKernel
+from repro.engine.resources import Resource
 from repro.faults import FaultInjector
 from repro.ib.att import ATTCache
 from repro.ib.bus import BusModel
@@ -83,6 +85,10 @@ from repro.ib.verbs import (
 from repro.mem.address_space import AddressSpace
 
 _seq = itertools.count(1)
+
+#: the open ``ib.tx``/``ib.rx`` span record a delivery chain carries to
+#: its end (:meth:`repro.trace.Tracer.open_span`), None when untraced
+_Span = Optional[Dict[str, Any]]
 
 
 @dataclass(frozen=True)
@@ -317,14 +323,7 @@ class HCA:
             if plan.ack_timeout_ns is not None:
                 qp.ack_timeout_ns = plan.ack_timeout_ns
         self._qps[qp.qp_num] = qp
-        if self.faults is not None:
-            # retransmission needs the watchdog and idempotence handling
-            # woven through the pipeline: keep the process machinery
-            self.kernel.process(
-                self._send_loop(qp), name=f"{self.name}-sq{qp.qp_num}"
-            )
-        else:
-            self._tx_rearm(qp)
+        self._tx_rearm(qp)
         return qp
 
     # -- posting (CPU side) -----------------------------------------------------------
@@ -396,14 +395,7 @@ class HCA:
         """Non-blocking poll (untimed peek; benchmarks that care about
         poll cost use :meth:`wait_completion`)."""
         return cq.store.try_get()
-
-    # -- adapter send pipeline ----------------------------------------------------------------
-    def _send_loop(self, qp: QueuePair) -> Generator:
-        while True:
-            wr = yield qp.send_q.get()
-            yield from self._handle_send(qp, wr)
-
-    # -- folded send pipeline (see "Event folding" in the module docstring) --
+    # -- chain plumbing ---------------------------------------------------------------------
     def _after(self, delay_ticks: int,
                callback: Callable[[Event], None]) -> None:
         """Schedule *callback* to run after *delay_ticks* (one event)."""
@@ -412,45 +404,59 @@ class HCA:
         ev.callbacks.append(callback)
         self.kernel._schedule(ev, delay_ticks, NORMAL)
 
+    @staticmethod
+    def _acquire(channel: Resource, then: Callable[..., None], *args: Any) -> None:
+        """Call ``then(*args)`` once *channel* is held: synchronously when
+        a slot is free (no grant event), else as the grant's callback."""
+        if channel.try_acquire():
+            then(*args)
+        else:
+            channel.request().callbacks.append(lambda _ev: then(*args))
+
+    @staticmethod
+    def _close_span(span: _Span) -> None:
+        """End the ``ib.tx``/``ib.rx`` span a chain carries (None when
+        the chain started with tracing off)."""
+        if span is not None:
+            trace.active().close_span(span)
+
+    # -- adapter send pipeline ----------------------------------------------------------------
     def _tx_rearm(self, qp: QueuePair) -> None:
-        """Arm the folded send engine: wait for the next posted WR."""
+        """Arm the send engine: wait for the next posted WR."""
         ev = qp.send_q.get()
         ev.callbacks.append(lambda ev, qp=qp: self._tx_begin(qp, ev.value))
 
     def _tx_begin(self, qp: QueuePair, wr: SendWR) -> None:
-        if (
-            trace.active() is not None
-            or not fastpath.fold_enabled()
-            or not qp.connected
-        ):
-            # tracer spans wrap the generator body; flushes and debugging
-            # take the process form too.  The process re-arms on exit so
-            # the engine keeps running whichever machinery handled it.
-            def _one(qp=qp, wr=wr):
-                yield from self._handle_send(qp, wr)
-                self._tx_rearm(qp)
-
-            self.kernel.process(_one(), name=f"{self.name}-tx{qp.qp_num}")
+        tracer = trace.active()
+        span = None if tracer is None else tracer.open_span(
+            "ib.tx", self.name, opcode=wr.opcode, bytes=wr.total_bytes,
+            sges=len(wr.sges))
+        if not qp.connected:
+            # the QP left RTS (SQE/ERROR after retry exhaustion) while
+            # this WR sat in the send queue: flush it with an error CQE,
+            # as real RC QPs do for queued work in an error state
+            if self.faults is not None:
+                self.faults.counters.add("faults.qp.flushed")
+            self._after(
+                self.clock.ns_to_ticks(self.config.cqe_write_ns),
+                lambda _ev: self._tx_flushed(qp, wr, span),
+            )
             return
         # WQE fetch is a short exclusive bus read
-        if self.bus.read_channel.try_acquire():
-            self._tx_fetch(qp, wr)
-        else:
-            ev = self.bus.read_channel.request()
-            ev.callbacks.append(
-                lambda _ev, qp=qp, wr=wr: self._tx_fetch(qp, wr)
-            )
+        self._acquire(self.bus.read_channel, self._tx_fetch, qp, wr, span)
 
-    def _tx_fetch(self, qp: QueuePair, wr: SendWR) -> None:
+    def _tx_fetch(self, qp: QueuePair, wr: SendWR, span: _Span) -> None:
         self._after(
             self.clock.ns_to_ticks(self.bus.wqe_fetch_ns(len(wr.sges))),
-            lambda _ev, qp=qp, wr=wr: self._tx_launch(qp, wr),
+            lambda _ev: self._tx_launch(qp, wr, span),
         )
 
-    def _tx_launch(self, qp: QueuePair, wr: SendWR) -> None:
-        # mirrors the body of _handle_send_impl between its two bus
-        # holds: same costs, same ATT walk point, same delivery instant
-        cfg = self.config
+    def _tx_launch(self, qp: QueuePair, wr: SendWR, span: _Span) -> None:
+        # data gather streams over the bus *while* the link serializes;
+        # the wire carries the first bytes after pipeline + latency, and
+        # the message keeps streaming for max(gather, serialization).
+        # An RDMA-read WR carries no local data outbound: it is a small
+        # request packet; the data streams back in the response.
         self.bus.read_channel.release()
         if wr.opcode == "rdma_read":
             gather_ns = 0.0
@@ -458,7 +464,6 @@ class HCA:
         else:
             gather_ns = self._gather_ns(wr)
             ser_ns = self.link.serialization_ns(wr.total_bytes)
-        stream_ns = max(gather_ns, ser_ns)
         seq = next(_seq)
         self._outstanding[seq] = (qp, wr)
         packet = _Packet(
@@ -471,7 +476,7 @@ class HCA:
             payload=wr.payload,
             remote_addr=wr.remote_addr,
             rkey=wr.rkey,
-            stream_ns=stream_ns,
+            stream_ns=max(gather_ns, ser_ns),
         )
         self.counters.add("hca.tx_messages")
         if wr.opcode != "rdma_read":
@@ -480,23 +485,44 @@ class HCA:
         self._deliver(
             wire,
             packet,
-            self.clock.ns_to_ticks(cfg.process_ns + self.link.config.latency_ns),
+            self.clock.ns_to_ticks(self.config.process_ns + self.link.config.latency_ns),
         )
-        gather_ticks = self.clock.ns_to_ticks(gather_ns)
-        if self.bus.read_channel.try_acquire():
-            self._tx_drain(qp, gather_ticks)
-        else:
-            ev = self.bus.read_channel.request()
-            ev.callbacks.append(
-                lambda _ev, qp=qp, t=gather_ticks: self._tx_drain(qp, t)
+        if self.faults is not None:
+            self.kernel.process(
+                self._retry_watchdog(qp, packet, wire),
+                name=f"{self.name}-watchdog-{packet.seq}",
             )
+        # the send engine (and the bus read channel) stay busy for the
+        # whole gather; the next WR on this QP starts after it
+        self._acquire(self.bus.read_channel, self._tx_drain, qp,
+                      self.clock.ns_to_ticks(gather_ns), span)
 
-    def _tx_drain(self, qp: QueuePair, gather_ticks: int) -> None:
-        self._after(gather_ticks, lambda _ev, qp=qp: self._tx_done(qp))
+    def _tx_drain(self, qp: QueuePair, gather_ticks: int, span: _Span) -> None:
+        self._after(gather_ticks, lambda _ev: self._tx_done(qp, span))
 
-    def _tx_done(self, qp: QueuePair) -> None:
+    def _tx_done(self, qp: QueuePair, span: _Span) -> None:
         self.bus.read_channel.release()
+        self._close_span(span)
         self._tx_rearm(qp)
+
+    def _tx_flushed(self, qp: QueuePair, wr: SendWR, span: _Span) -> None:
+        """Complete a queued WR with a flush error (QP not in RTS)."""
+        self._send_cqe(qp, wr, "work-request-flushed-error")
+        self._close_span(span)
+        self._tx_rearm(qp)
+
+    @staticmethod
+    def _send_cqe(qp: QueuePair, wr: SendWR, status: str) -> None:
+        """Write *wr*'s send-side CQE and free its send-queue slot."""
+        qp.send_cq.store.put_nowait(
+            WorkCompletion(
+                wr_id=wr.wr_id,
+                opcode=wr.opcode,
+                byte_len=wr.total_bytes,
+                status=status,
+            )
+        )
+        qp.wr_slots.release()
 
     def _att_range_ns(self, mr: MemoryRegion, addr: int, nbytes: int) -> float:
         """ATT stall for a DMA over ``[addr, addr+nbytes)`` of *mr*.
@@ -547,95 +573,6 @@ class HCA:
                     ns += cfg.sge_extra_pipelined_ns
         ns += self.bus.stream_ns(wr.total_bytes)
         return max(0.0, ns)
-
-    def _handle_send(self, qp: QueuePair, wr: SendWR) -> Generator:
-        tracer = trace.active()
-        if tracer is None:
-            yield from self._handle_send_impl(qp, wr)
-            return
-        with tracer.span("ib.tx", track=self.name, opcode=wr.opcode,
-                         bytes=wr.total_bytes, sges=len(wr.sges)):
-            yield from self._handle_send_impl(qp, wr)
-
-    def _handle_send_impl(self, qp: QueuePair, wr: SendWR) -> Generator:
-        cfg = self.config
-        if not qp.connected:
-            # the QP left RTS (SQE/ERROR after retry exhaustion) while
-            # this WR sat in the send queue: flush it with an error CQE,
-            # as real RC QPs do for queued work in an error state
-            yield from self._flush_send(qp, wr)
-            return
-        # WQE fetch is a short exclusive bus read
-        yield self.bus.read_channel.request()
-        try:
-            yield self.kernel.timeout(
-                self.clock.ns_to_ticks(self.bus.wqe_fetch_ns(len(wr.sges)))
-            )
-        finally:
-            self.bus.read_channel.release()
-        # data gather streams over the bus *while* the link serializes;
-        # the wire carries the first bytes after pipeline + latency, and
-        # the message keeps streaming for max(gather, serialization).
-        # An RDMA-read WR carries no local data outbound: it is a small
-        # request packet; the data streams back in the response.
-        if wr.opcode == "rdma_read":
-            gather_ns = 0.0
-            ser_ns = self.link.serialization_ns(16)
-        else:
-            gather_ns = self._gather_ns(wr)
-            ser_ns = self.link.serialization_ns(wr.total_bytes)
-        stream_ns = max(gather_ns, ser_ns)
-        seq = next(_seq)
-        self._outstanding[seq] = (qp, wr)
-        packet = _Packet(
-            kind=wr.opcode,
-            src_qp=qp.qp_num,
-            dst_qp=qp.peer_qp_num,
-            seq=seq,
-            wr_id=wr.wr_id,
-            nbytes=wr.total_bytes,
-            payload=wr.payload,
-            remote_addr=wr.remote_addr,
-            rkey=wr.rkey,
-            stream_ns=stream_ns,
-        )
-        self.counters.add("hca.tx_messages")
-        if wr.opcode != "rdma_read":
-            self.counters.add("hca.tx_bytes", wr.total_bytes)
-        wire = self.wire_to(qp.peer_hca)
-        self._deliver(
-            wire,
-            packet,
-            self.clock.ns_to_ticks(cfg.process_ns + self.link.config.latency_ns),
-        )
-        if self.faults is not None:
-            self.kernel.process(
-                self._retry_watchdog(qp, packet, wire),
-                name=f"{self.name}-watchdog-{packet.seq}",
-            )
-        # the send engine (and the bus read channel) stay busy for the
-        # whole gather; the next WR on this QP starts after it
-        yield self.bus.read_channel.request()
-        try:
-            yield self.kernel.timeout(self.clock.ns_to_ticks(gather_ns))
-        finally:
-            self.bus.read_channel.release()
-
-    def _flush_send(self, qp: QueuePair, wr: SendWR) -> Generator:
-        """Complete a queued WR with a flush error (QP not in RTS)."""
-        if self.faults is not None:
-            self.faults.counters.add("faults.qp.flushed")
-        yield self.kernel.timeout(self.clock.ns_to_ticks(self.config.cqe_write_ns))
-        qp.send_cq.store.put_nowait(
-            WorkCompletion(
-                wr_id=wr.wr_id,
-                opcode=wr.opcode,
-                byte_len=wr.total_bytes,
-                status="work-request-flushed-error",
-            )
-        )
-        qp.wr_slots.release()
-
     # -- fault injection & RC retransmission ---------------------------------
     def _deliver(self, wire: Wire, packet: _Packet, delay_ticks: int) -> None:
         """Put *packet* on *wire*, subject to injected loss/corruption.
@@ -746,15 +683,7 @@ class HCA:
         if qp.state == "RTS":
             qp.modify("SQE")
         yield self.kernel.timeout(self.clock.ns_to_ticks(self.config.cqe_write_ns))
-        qp.send_cq.store.put_nowait(
-            WorkCompletion(
-                wr_id=wr.wr_id,
-                opcode=wr.opcode,
-                byte_len=wr.total_bytes,
-                status=status,
-            )
-        )
-        qp.wr_slots.release()
+        self._send_cqe(qp, wr, status)
 
     # -- adapter receive pipeline ------------------------------------------------------------
     def _on_arrival(self, packet: _Packet, wire: Wire) -> None:
@@ -764,48 +693,11 @@ class HCA:
             if self.faults is not None:
                 self.faults.counters.add("faults.link.rejected")
             return
-        if packet.kind == "ack" and self.faults is None:
-            # a clean ack needs no receive pipeline: complete the send
-            # after the CQE write, as one scheduled callback instead of a
-            # spawned process (same instant, two fewer kernel events per
-            # message; the fault path keeps the full duplicate handling)
-            entry = self._outstanding.pop(packet.seq, None)
-            if entry is None:
-                raise IBVerbsError(f"ack for unknown sequence {packet.seq}")
-            qp, wr = entry
-
-            def _complete(_ev, qp=qp, wr=wr, status=packet.status):
-                qp.send_cq.store.put_nowait(
-                    WorkCompletion(
-                        wr_id=wr.wr_id,
-                        opcode=wr.opcode,
-                        byte_len=wr.total_bytes,
-                        status=status,
-                    )
-                )
-                qp.wr_slots.release()
-
-            self._after(
-                self.clock.ns_to_ticks(self.config.cqe_write_ns), _complete
-            )
+        kind = packet.kind
+        if kind == "ack":
+            self._rx_ack(packet)
             return
-        if (
-            self.faults is None
-            and trace.active() is None
-            and fastpath.fold_enabled()
-        ):
-            if packet.kind == "send":
-                self._rx_send_begin(packet, wire)
-                return
-            if packet.kind == "rdma_write":
-                self._rx_write_begin(packet, wire)
-                return
-        self.kernel.process(
-            self._receive(packet, wire), name=f"{self.name}-rx-{packet.kind}"
-        )
-
-    def _receive(self, packet: _Packet, wire: Wire) -> Generator:
-        if self.faults is not None and packet.kind in ("send", "rdma_write"):
+        if self.faults is not None and kind in ("send", "rdma_write"):
             # retransmissions must be idempotent: a message being
             # processed is left alone (the sender sees RNR), a message
             # already processed is re-acked with its recorded status
@@ -818,28 +710,21 @@ class HCA:
                 return
             self._rx_inflight.add(packet.seq)
         tracer = trace.active()
-        if tracer is None or packet.kind == "ack":
-            yield from self._receive_dispatch(packet, wire)
-            return
-        with tracer.span("ib.rx", track=self.name, kind=packet.kind,
-                         bytes=packet.nbytes):
-            yield from self._receive_dispatch(packet, wire)
-
-    def _receive_dispatch(self, packet: _Packet, wire: Wire) -> Generator:
-        if packet.kind == "ack":
-            yield from self._complete_send(packet)
-        elif packet.kind == "send":
-            yield from self._receive_send(packet, wire)
-        elif packet.kind == "rdma_write":
-            yield from self._receive_rdma_write(packet, wire)
-        elif packet.kind == "rdma_read":
-            yield from self._receive_read_request(packet, wire)
-        elif packet.kind == "read_response":
-            yield from self._receive_read_response(packet)
+        span = None if tracer is None else tracer.open_span(
+            "ib.rx", self.name, kind=kind, bytes=packet.nbytes)
+        if kind == "send":
+            self._rx_send_begin(packet, wire, span)
+        elif kind == "rdma_write":
+            self._rx_write_begin(packet, wire, span)
+        elif kind == "rdma_read":
+            self._rx_read_request(packet, wire, span)
+        elif kind == "read_response":
+            self._rx_read_response(packet, span)
         else:  # pragma: no cover - defensive
-            raise IBVerbsError(f"unknown packet kind {packet.kind!r}")
+            raise IBVerbsError(f"unknown packet kind {kind!r}")
 
-    def _complete_send(self, packet: _Packet) -> Generator:
+    def _rx_ack(self, packet: _Packet) -> None:
+        """Complete the acked send after the CQE write."""
         entry = self._outstanding.pop(packet.seq, None)
         if entry is None:
             if self.faults is not None:
@@ -849,16 +734,10 @@ class HCA:
                 return
             raise IBVerbsError(f"ack for unknown sequence {packet.seq}")
         qp, wr = entry
-        yield self.kernel.timeout(self.clock.ns_to_ticks(self.config.cqe_write_ns))
-        qp.send_cq.store.put_nowait(
-            WorkCompletion(
-                wr_id=wr.wr_id,
-                opcode=wr.opcode,
-                byte_len=wr.total_bytes,
-                status=packet.status,
-            )
+        self._after(
+            self.clock.ns_to_ticks(self.config.cqe_write_ns),
+            lambda _ev: self._send_cqe(qp, wr, packet.status),
         )
-        qp.wr_slots.release()
 
     def _scatter_ns(self, sges: Sequence[SGE], payload_bytes: int) -> float:
         """Bus-side cost of scattering an inbound message.
@@ -887,64 +766,60 @@ class HCA:
         ns += self.bus.stream_ns(payload_bytes)
         return ns
 
-    # -- folded receive pipeline (see "Event folding" in the module docstring) --
-    def _rx_send_begin(self, packet: _Packet, wire: Wire) -> None:
-        """Folded two-sided receive: same ticks as :meth:`_receive_send`."""
+    def _rx_send_begin(self, packet: _Packet, wire: Wire, span: _Span) -> None:
+        """Two-sided receive: consume a posted receive WR, scatter, CQE."""
         qp = self._qps.get(packet.dst_qp)
         if qp is None:
             raise IBVerbsError(f"send targets unknown QP {packet.dst_qp}")
         recv_wr = qp.recv_q.try_get()
         if recv_wr is not None:
-            self._rx_send_fetch(qp, recv_wr, packet, wire)
+            self._rx_send_fetch(qp, recv_wr, packet, wire, span)
         else:
-            # no posted receive yet: wait for one (the RNR-wait model)
-            ev = qp.recv_q.get()
-            ev.callbacks.append(
-                lambda ev, qp=qp, packet=packet, wire=wire: self._rx_send_fetch(
-                    qp, ev.value, packet, wire
-                )
+            # RC semantics: without a posted receive the sender would see
+            # RNR retries; we model it as waiting for the receive to be
+            # posted
+            qp.recv_q.get().callbacks.append(
+                lambda ev: self._rx_send_fetch(qp, ev.value, packet, wire, span)
             )
 
     def _rx_send_fetch(
-        self, qp: QueuePair, recv_wr: RecvWR, packet: _Packet, wire: Wire
+        self, qp: QueuePair, recv_wr: RecvWR, packet: _Packet, wire: Wire,
+        span: _Span,
     ) -> None:
         status = "success"
         if recv_wr.total_bytes < packet.nbytes:
             status = "local-length-error"
         self._after(
             self.clock.ns_to_ticks(self.config.recv_wqe_ns),
-            lambda _ev: self._rx_send_grant(qp, recv_wr, packet, wire, status),
+            lambda _ev: self._rx_send_grant(qp, recv_wr, packet, wire, status, span),
         )
 
     def _rx_send_grant(
         self, qp: QueuePair, recv_wr: RecvWR, packet: _Packet, wire: Wire,
-        status: str,
+        status: str, span: _Span,
     ) -> None:
-        if self.bus.write_channel.try_acquire():
-            self._rx_send_scatter(qp, recv_wr, packet, wire, status)
-        else:
-            ev = self.bus.write_channel.request()
-            ev.callbacks.append(
-                lambda _ev: self._rx_send_scatter(qp, recv_wr, packet, wire, status)
-            )
+        self._acquire(self.bus.write_channel, self._rx_send_scatter,
+                      qp, recv_wr, packet, wire, status, span)
 
     def _rx_send_scatter(
         self, qp: QueuePair, recv_wr: RecvWR, packet: _Packet, wire: Wire,
-        status: str,
+        status: str, span: _Span,
     ) -> None:
-        # ATT walked at the grant instant, exactly as the process form
+        # the scatter overlaps the inbound stream; the bus is busy for
+        # whichever is longer, plus the CQE write.  The ATT is walked at
+        # the grant instant.
         scatter_ns = self._scatter_ns(
             recv_wr.sges, min(packet.nbytes, recv_wr.total_bytes)
         )
         ns = max(scatter_ns, packet.stream_ns) + self.config.cqe_write_ns
         self._after(
             self.clock.ns_to_ticks(ns),
-            lambda _ev: self._rx_send_done(qp, recv_wr, packet, wire, status),
+            lambda _ev: self._rx_send_done(qp, recv_wr, packet, wire, status, span),
         )
 
     def _rx_send_done(
         self, qp: QueuePair, recv_wr: RecvWR, packet: _Packet, wire: Wire,
-        status: str,
+        status: str, span: _Span,
     ) -> None:
         self.bus.write_channel.release()
         self.counters.add("hca.rx_messages")
@@ -958,13 +833,15 @@ class HCA:
                 payload=packet.payload,
             )
         )
-        self._send_ack(packet, status, wire)
+        self._rx_done(packet, status, wire, span)
 
-    def _rx_write_begin(self, packet: _Packet, wire: Wire) -> None:
-        """Folded one-sided write: same ticks as :meth:`_receive_rdma_write`."""
+    def _rx_write_begin(self, packet: _Packet, wire: Wire, span: _Span) -> None:
+        """One-sided write: scatter into the rkey's region, no CQE."""
         mr = self._mrs_by_rkey.get(packet.rkey)
         san = sanitize._active
         if san is not None and san.mr:
+            # catch the use-after-dereg rkey here, at the faulting rx,
+            # instead of quietly answering remote-access-error below
             san.check_rkey(mr, packet.rkey, packet.remote_addr,
                            packet.nbytes, "rdma_write.rx")
         if (
@@ -972,17 +849,13 @@ class HCA:
             or not mr.registered
             or not mr.contains(packet.remote_addr, packet.nbytes)
         ):
-            self._send_ack(packet, "remote-access-error", wire)
+            self._rx_done(packet, "remote-access-error", wire, span)
             return
-        if self.bus.write_channel.try_acquire():
-            self._rx_write_scatter(mr, packet, wire)
-        else:
-            ev = self.bus.write_channel.request()
-            ev.callbacks.append(
-                lambda _ev: self._rx_write_scatter(mr, packet, wire)
-            )
+        self._acquire(self.bus.write_channel, self._rx_write_scatter,
+                      mr, packet, wire, span)
 
-    def _rx_write_scatter(self, mr: MemoryRegion, packet: _Packet, wire: Wire) -> None:
+    def _rx_write_scatter(self, mr: MemoryRegion, packet: _Packet, wire: Wire,
+                          span: _Span) -> None:
         scatter_ns = self.bus.config.dma_setup_ns
         scatter_ns += self._att_range_ns(mr, packet.remote_addr, packet.nbytes)
         scatter_ns += self.bus.bursts_for(packet.remote_addr, packet.nbytes) * \
@@ -991,86 +864,27 @@ class HCA:
         ns = max(scatter_ns, packet.stream_ns)
         self._after(
             self.clock.ns_to_ticks(ns),
-            lambda _ev: self._rx_write_done(packet, wire),
+            lambda _ev: self._rx_write_done(packet, wire, span),
         )
 
-    def _rx_write_done(self, packet: _Packet, wire: Wire) -> None:
+    def _rx_write_done(self, packet: _Packet, wire: Wire, span: _Span) -> None:
         self.bus.write_channel.release()
         self.rdma_landed[(packet.rkey, packet.remote_addr)] = packet.payload
         self.counters.add("hca.rx_messages")
         self.counters.add("hca.rx_bytes", packet.nbytes)
-        self._send_ack(packet, "success", wire)
+        self._rx_done(packet, "success", wire, span)
 
-    def _receive_send(self, packet: _Packet, wire: Wire) -> Generator:
-        qp = self._qps.get(packet.dst_qp)
-        if qp is None:
-            raise IBVerbsError(f"send targets unknown QP {packet.dst_qp}")
-        # RC semantics: without a posted receive the sender would see RNR
-        # retries; we model it as waiting for the receive to be posted.
-        recv_wr = yield qp.recv_q.get()
-        status = "success"
-        if recv_wr.total_bytes < packet.nbytes:
-            status = "local-length-error"
-        yield self.kernel.timeout(self.clock.ns_to_ticks(self.config.recv_wqe_ns))
-        yield self.bus.write_channel.request()
-        try:
-            scatter_ns = self._scatter_ns(
-                recv_wr.sges, min(packet.nbytes, recv_wr.total_bytes)
-            )
-            # the scatter overlaps the inbound stream; the bus is busy for
-            # whichever is longer, plus the CQE write
-            ns = max(scatter_ns, packet.stream_ns) + self.config.cqe_write_ns
-            yield self.kernel.timeout(self.clock.ns_to_ticks(ns))
-        finally:
-            self.bus.write_channel.release()
-        self.counters.add("hca.rx_messages")
-        self.counters.add("hca.rx_bytes", packet.nbytes)
-        qp.recv_cq.store.put_nowait(
-            WorkCompletion(
-                wr_id=recv_wr.wr_id,
-                opcode="recv",
-                byte_len=packet.nbytes,
-                status=status,
-                payload=packet.payload,
-            )
-        )
-        self._rx_done(packet, status)
+    def _rx_done(self, packet: _Packet, status: str, wire: Wire, span: _Span) -> None:
+        """Finish an inbound send or write: record it as processed (so a
+        later retransmission of it is re-acked, not re-executed), ack it,
+        end its span."""
+        if self.faults is not None:
+            self._rx_inflight.discard(packet.seq)
+            self._rx_seen[packet.seq] = status
         self._send_ack(packet, status, wire)
+        self._close_span(span)
 
-    def _receive_rdma_write(self, packet: _Packet, wire: Wire) -> Generator:
-        mr = self._mrs_by_rkey.get(packet.rkey)
-        san = sanitize._active
-        if san is not None and san.mr:
-            # catch the use-after-dereg rkey here, at the faulting rx,
-            # instead of quietly answering remote-access-error below
-            san.check_rkey(mr, packet.rkey, packet.remote_addr,
-                           packet.nbytes, "rdma_write.rx")
-        status = "success"
-        if mr is None or not mr.registered:
-            status = "remote-access-error"
-        elif not mr.contains(packet.remote_addr, packet.nbytes):
-            status = "remote-access-error"
-        if status == "success":
-            yield self.bus.write_channel.request()
-            try:
-                scatter_ns = self.bus.config.dma_setup_ns
-                scatter_ns += self._att_range_ns(
-                    mr, packet.remote_addr, packet.nbytes
-                )
-                scatter_ns += self.bus.bursts_for(packet.remote_addr, packet.nbytes) * \
-                    self.bus.config.burst_ns
-                scatter_ns += self.bus.stream_ns(packet.nbytes)
-                ns = max(scatter_ns, packet.stream_ns)
-                yield self.kernel.timeout(self.clock.ns_to_ticks(ns))
-            finally:
-                self.bus.write_channel.release()
-            self.rdma_landed[(packet.rkey, packet.remote_addr)] = packet.payload
-            self.counters.add("hca.rx_messages")
-            self.counters.add("hca.rx_bytes", packet.nbytes)
-        self._rx_done(packet, status)
-        self._send_ack(packet, status, wire)
-
-    def _receive_read_request(self, packet: _Packet, wire: Wire) -> Generator:
+    def _rx_read_request(self, packet: _Packet, wire: Wire, span: _Span) -> None:
         """Responder half of an RDMA read: gather the exposed region
         and stream it back as a read response."""
         mr = self._mrs_by_rkey.get(packet.rkey)
@@ -1113,33 +927,54 @@ class HCA:
                 self.config.process_ns + self.link.config.latency_ns
             ),
         )
-        if status == "success":
-            yield self.bus.read_channel.request()
-            try:
-                yield self.kernel.timeout(self.clock.ns_to_ticks(gather_ns))
-            finally:
-                self.bus.read_channel.release()
+        if status != "success":
+            self._close_span(span)
+            return
+        self._acquire(self.bus.read_channel, self._rx_read_gather,
+                      self.clock.ns_to_ticks(gather_ns), span)
 
-    def _receive_read_response(self, packet: _Packet) -> Generator:
+    def _rx_read_gather(self, gather_ticks: int, span: _Span) -> None:
+        self._after(gather_ticks, lambda _ev: self._rx_read_served(span))
+
+    def _rx_read_served(self, span: _Span) -> None:
+        self.bus.read_channel.release()
+        self._close_span(span)
+
+    def _rx_read_response(self, packet: _Packet, span: _Span) -> None:
         """Initiator half: scatter the returned data locally, complete."""
         entry = self._outstanding.pop(packet.seq, None)
         if entry is None:
             if self.faults is not None:
                 # duplicate response from a retransmitted read request
                 self.faults.counters.add("faults.qp.stale_acks")
+                self._close_span(span)
                 return
             raise IBVerbsError(f"read response for unknown seq {packet.seq}")
         qp, wr = entry
-        if packet.status == "success":
-            yield self.bus.write_channel.request()
-            try:
-                scatter_ns = self._scatter_ns(wr.sges, packet.nbytes)
-                ns = max(scatter_ns, packet.stream_ns) + self.config.cqe_write_ns
-                yield self.kernel.timeout(self.clock.ns_to_ticks(ns))
-            finally:
-                self.bus.write_channel.release()
-            self.counters.add("hca.rx_messages")
-            self.counters.add("hca.rx_bytes", packet.nbytes)
+        if packet.status != "success":
+            self._rx_read_complete(qp, wr, packet, span)
+            return
+        self._acquire(self.bus.write_channel, self._rx_read_scatter,
+                      qp, wr, packet, span)
+
+    def _rx_read_scatter(self, qp: QueuePair, wr: SendWR, packet: _Packet,
+                         span: _Span) -> None:
+        scatter_ns = self._scatter_ns(wr.sges, packet.nbytes)
+        ns = max(scatter_ns, packet.stream_ns) + self.config.cqe_write_ns
+        self._after(
+            self.clock.ns_to_ticks(ns),
+            lambda _ev: self._rx_read_done(qp, wr, packet, span),
+        )
+
+    def _rx_read_done(self, qp: QueuePair, wr: SendWR, packet: _Packet,
+                      span: _Span) -> None:
+        self.bus.write_channel.release()
+        self.counters.add("hca.rx_messages")
+        self.counters.add("hca.rx_bytes", packet.nbytes)
+        self._rx_read_complete(qp, wr, packet, span)
+
+    def _rx_read_complete(self, qp: QueuePair, wr: SendWR, packet: _Packet,
+                          span: _Span) -> None:
         qp.send_cq.store.put_nowait(
             WorkCompletion(
                 wr_id=wr.wr_id,
@@ -1150,13 +985,7 @@ class HCA:
             )
         )
         qp.wr_slots.release()
-
-    def _rx_done(self, packet: _Packet, status: str) -> None:
-        """Record an inbound message as fully processed so a later
-        retransmission of it is re-acked instead of re-executed."""
-        if self.faults is not None:
-            self._rx_inflight.discard(packet.seq)
-            self._rx_seen[packet.seq] = status
+        self._close_span(span)
 
     def _send_ack(self, packet: _Packet, status: str, wire: Wire) -> None:
         ack = _Packet(

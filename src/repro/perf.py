@@ -169,7 +169,7 @@ def _bench_train(quick: bool):
     The one benchmark that is genuinely event-kernel-bound: a windowed
     back-to-back train where nearly all simulated work is scheduling,
     dispatch, resource grants and completions — the regime the event
-    heap and the folded delivery path target.  The payload carries
+    heap and the HCA's delivery chains target.  The payload carries
     the analytic period too, so any drift between the DES and the closed
     form flips ``identical``.
     """

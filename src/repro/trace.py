@@ -208,11 +208,12 @@ class Tracer:
 
     # -- recording ----------------------------------------------------------
 
-    @contextmanager
-    def span(self, name: str, track: Optional[str] = None,
-             **attrs: Any) -> Iterator[Dict[str, Any]]:
-        """Record a span; yields the record so callers may add
-        attributes discovered mid-span (``rec["args"]["hit"] = True``).
+    def open_span(self, name: str, track: Optional[str] = None,
+                  **attrs: Any) -> Dict[str, Any]:
+        """Open a span and return its record; end it with
+        :meth:`close_span`.  For spans that begin and end in different
+        callbacks (the HCA's delivery chains carry the record along);
+        code that can wrap a block uses :meth:`span`.
 
         Attributes must be deterministic across the fast and slow
         costing paths — sizes, opcodes, names, tick counts; never
@@ -224,16 +225,29 @@ class Tracer:
             "unit": self._unit, "track": track or "main", "args": attrs,
         }
         self._open.append(rec)
+        return rec
+
+    def close_span(self, rec: Dict[str, Any]) -> None:
+        """End the span *rec* opened by :meth:`open_span` and record it."""
+        self._boundary()
+        try:
+            self._open.remove(rec)
+        except ValueError:  # pragma: no cover - defensive
+            pass
+        rec["dur"] = self._now() - rec["ts"]
+        self.events.append(rec)
+
+    @contextmanager
+    def span(self, name: str, track: Optional[str] = None,
+             **attrs: Any) -> Iterator[Dict[str, Any]]:
+        """Record a span around a block; yields the record so callers
+        may add attributes discovered mid-span (``rec["args"]["hit"] =
+        True``).  Same attribute rules as :meth:`open_span`."""
+        rec = self.open_span(name, track, **attrs)
         try:
             yield rec
         finally:
-            self._boundary()
-            try:
-                self._open.remove(rec)
-            except ValueError:  # pragma: no cover - defensive
-                pass
-            rec["dur"] = self._now() - rec["ts"]
-            self.events.append(rec)
+            self.close_span(rec)
 
     def instant(self, name: str, track: Optional[str] = None,
                 **attrs: Any) -> None:

@@ -48,12 +48,7 @@ class TestQPSendQueueDepth:
         buf_b = pb.aspace.mmap(MB).start
         pd_a, pd_b = ProtectionDomain.fresh(), ProtectionDomain.fresh()
         sa, ra, sb, rb = (CompletionQueue(k) for _ in range(4))
-
-        from repro.ib.verbs import QueuePair
-
-        qa = QueuePair(k, pd_a, sa, ra, max_send_wr=1)
-        a.hca._qps[qa.qp_num] = qa
-        k.process(a.hca._send_loop(qa), name="sq-test")
+        qa = a.hca.create_qp(pd_a, sa, ra, max_send_wr=1)
         qb = b.hca.create_qp(pd_b, sb, rb)
         HCA.connect_pair(qa, a.hca, qb, b.hca)
         times = {}

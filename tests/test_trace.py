@@ -105,6 +105,65 @@ class TestSpanRecording:
         assert summed == tracer.counter_totals()
 
 
+def _nested(tracer, src, depth, explicit, track):
+    """Spans nested *depth* deep that bump counters and wait at every
+    level; with *explicit*, even levels use ``open_span``/``close_span``
+    and odd levels ``span()`` blocks."""
+
+    def body():
+        src.counters.add(f"c{depth}", depth + 1)
+        yield src.kernel.timeout(3 * (depth + 1))
+        if depth:
+            yield from _nested(tracer, src, depth - 1, explicit, track)
+        src.counters.add("after", 1)
+        yield src.kernel.timeout(3)
+
+    attrs = dict(track=track, depth=depth)
+    if explicit and depth % 2 == 0:
+        rec = tracer.open_span(f"level{depth}", **attrs)
+        yield from body()
+        tracer.close_span(rec)
+        assert rec is tracer.events[-1] and rec["dur"] >= 0
+    else:
+        with tracer.span(f"level{depth}", **attrs):
+            yield from body()
+
+
+class TestOpenCloseSpan:
+    def _run(self, explicit):
+        src = _Source()
+        tracer = Tracer()
+        tracer.attach_cluster(src)
+
+        def process(offset, track):
+            yield src.kernel.timeout(offset)
+            yield from _nested(tracer, src, 4, explicit, track)
+
+        with trace.capturing(tracer):
+            # two processes one tick apart: their spans open and close
+            # interleaved, never in LIFO order across the two
+            src.kernel.process(process(0, "a"))
+            src.kernel.process(process(1, "b"))
+            src.kernel.run()
+            tracer.flush()
+        return tracer
+
+    def test_matches_the_context_manager_form(self):
+        mixed = self._run(explicit=True)
+        plain = self._run(explicit=False)
+        assert mixed.events == plain.events
+        assert mixed.phase_table() == plain.phase_table()
+        assert mixed.counter_totals() == plain.counter_totals()
+        assert not mixed._open
+        # the scenario really interleaves and nests
+        closes = [(ev["track"], ev["name"], ev["ts"], ev["dur"])
+                  for ev in mixed.events if ev["name"].startswith("level")]
+        assert closes[:4] == [("a", "level0", 42, 6), ("b", "level0", 43, 6),
+                              ("a", "level1", 36, 15), ("b", "level1", 37, 15)]
+        assert closes[-2:] == [("a", "level4", 0, 60), ("b", "level4", 1, 60)]
+        assert mixed.counter_totals()["after"] == 10
+
+
 class TestRealWorkloadTrace:
     def _traced_fig5(self):
         tracer = Tracer()

@@ -1,23 +1,32 @@
-"""The wire-train contract: DES pipeline == folded path == closed form.
+"""The wire-train contract, and watching a run does not change it.
 
-Three parties must agree tick-exactly on a back-to-back message train
-(:mod:`repro.workloads.train`):
+The simulated back-to-back message train (:mod:`repro.workloads.train`),
+carried by the HCA's delivery chains (:mod:`repro.ib.hca`), must agree
+tick-exactly with the **closed form**
+:func:`repro.workloads.train.analytic_period_ticks` built on
+:meth:`repro.ib.link.IBLink.train_ns`.
 
-- the **reference machinery** — per-message generator processes walking
-  every pipeline hop (``REPRO_NO_FOLD`` / ``fastpath.fold_forced(False)``);
-- the **folded delivery path** — the callback chains in
-  :mod:`repro.ib.hca` that replace those processes (the default);
-- the **closed form** — :func:`repro.workloads.train.analytic_period_ticks`
-  built on :meth:`repro.ib.link.IBLink.train_ns`.
+The chains are the adapter's only delivery machinery, so installing a
+tracer must not change which code runs: a clean train, a faulted
+transfer and a read-protocol rendezvous each give the same ticks,
+counters, payloads and kernel event/frame counts with and without one.
 """
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
-from repro import fastpath
+from repro import fastpath, trace
+from repro.faults import FaultPlan
 from repro.ib.link import IBLink, LinkConfig
+from repro.mpi import MPIConfig, MPIWorld
+from repro.systems import Cluster, presets
+from repro.workloads import train
 from repro.workloads.train import run_train
+
+KB = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -79,33 +88,90 @@ class TestClosedFormPin:
 
 
 # ---------------------------------------------------------------------------
-# identity: fold vs process machinery
+# identity: watching a run does not change it
 # ---------------------------------------------------------------------------
 
-def _train_signature(**kwargs):
-    res = run_train(**kwargs)
-    return (res.total_ticks, res.tx_messages, res.rx_messages)
+
+def _train_run(monkeypatch):
+    made = []
+
+    class RecordingCluster(Cluster):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(train, "Cluster", RecordingCluster)
+    res = run_train(msg_bytes=2048, count=40, window=8)
+    return made[0], (res.total_ticks, res.tx_messages, res.rx_messages)
+
+
+def _mpi_run(fault_plan=None, rndv_protocol="write", n_msgs=6, size=64 * KB):
+    cluster = Cluster(presets.opteron_infinihost_pcie(), 2,
+                      fault_plan=fault_plan)
+    world = MPIWorld(cluster, ppn=1,
+                     config=MPIConfig(rndv_protocol=rndv_protocol))
+
+    def program(comm):
+        buf = comm.proc.malloc(size)
+        if comm.rank == 0:
+            for i in range(n_msgs):
+                yield from comm.send(1, 10 + i, size, addr=buf,
+                                     payload=("msg", i))
+            return None
+        got = []
+        for i in range(n_msgs):
+            payload, *_ = yield from comm.recv(0, 10 + i, addr=buf)
+            got.append(payload)
+        return got
+
+    results = world.run(program)
+    assert results[1].value == [("msg", i) for i in range(n_msgs)]
+    return cluster, [(r.value, r.app_ticks) for r in results]
+
+
+SCENARIOS = {
+    "clean-train": _train_run,
+    "link-loss": lambda _mp: _mpi_run(
+        fault_plan=FaultPlan(link_loss=0.02, seed=7)),
+    "read-rendezvous": lambda _mp: _mpi_run(rndv_protocol="read",
+                                            size=256 * KB),
+}
+
+
+def _observe(scenario, monkeypatch, tracer):
+    capture = (trace.capturing(tracer) if tracer is not None
+               else contextlib.nullcontext())
+    with capture:
+        cluster, result = SCENARIOS[scenario](monkeypatch)
+    k = cluster.kernel
+    return {
+        "now": k.now,
+        "events": k._events,
+        "frames": k._frames,
+        "counters": cluster.aggregate_counters(),
+        "result": result,
+    }
 
 
 class TestIdentity:
-    def test_fold_matches_process_machinery(self):
-        kwargs = dict(msg_bytes=2048, count=40, window=8)
-        with fastpath.fold_forced(True):
-            folded = _train_signature(**kwargs)
-        with fastpath.fold_forced(False):
-            reference = _train_signature(**kwargs)
-        assert folded == reference
-
-    def test_fold_matches_on_reference_costing_path(self):
-        # folding is orthogonal to the fast/reference costing switch:
-        # it must hold on both
-        kwargs = dict(msg_bytes=1024, count=25, window=4)
-        with fastpath.forced(False):
-            with fastpath.fold_forced(True):
-                folded = _train_signature(**kwargs)
-            with fastpath.fold_forced(False):
-                reference = _train_signature(**kwargs)
-        assert folded == reference
+    @pytest.mark.parametrize("fast", [True, False], ids=["fast", "reference"])
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_tracing_does_not_change_the_run(self, scenario, fast, monkeypatch):
+        tracer = trace.Tracer()
+        with fastpath.forced(fast):
+            plain = _observe(scenario, monkeypatch, None)
+            traced = _observe(scenario, monkeypatch, tracer)
+        assert traced == plain
+        # the traced run really watched the adapter
+        spans = {(ev["name"], ev["args"].get("kind")) for ev in tracer.events
+                 if ev["ph"] == "X" and ev["name"] in ("ib.tx", "ib.rx")}
+        assert ("ib.tx", None) in spans
+        if scenario == "read-rendezvous":
+            assert {("ib.rx", "rdma_read"), ("ib.rx", "read_response")} <= spans
+        else:
+            assert ("ib.rx", "send") in spans
+        if scenario == "link-loss":
+            assert plain["counters"]["faults.qp.retries"] > 0
 
     def test_window_only_overlaps_never_reorders(self):
         # more window = more overlap = fewer total ticks, same messages
