@@ -7,7 +7,8 @@ the reproduction, matching the paper's reporting unit).
 
 Public surface:
 
-- :class:`~repro.engine.core.SimKernel` — event loop, clock and event heap.
+- :class:`~repro.engine.core.SimKernel` — event loop, clock and event heap;
+  ``join`` runs generators concurrently without making them processes.
 - :class:`~repro.engine.core.Event`, :class:`~repro.engine.core.Timeout`,
   :class:`~repro.engine.core.Process` — waitables.
 - :class:`~repro.engine.core.AllOf`, :class:`~repro.engine.core.AnyOf` —

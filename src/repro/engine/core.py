@@ -16,6 +16,9 @@ exactly as a per-event heap loop would have.
 Processes are plain generator functions.  Each ``yield`` hands the kernel a
 waitable :class:`Event`; the process is resumed with the event's value when
 it fires (or the event's exception is thrown into the generator).
+:meth:`SimKernel.join` drives generators the same way without making them
+processes: concurrent halves of one operation (an MPI send and receive)
+run as callback chains and settle one join event.
 
 Event ownership and pooling
 ---------------------------
@@ -242,19 +245,16 @@ class Process(Event):
 
     # -- resumption -----------------------------------------------------
     def _resume(self, event: Event) -> None:
-        self._step(event, throw=not event.ok)
+        self._step(event, not event._ok)
 
     def _resume_throw(self, event: Event) -> None:
         self._step(event, throw=True)
 
     def _step(self, event: Event, throw: bool) -> None:
         self._target = None
-        self.kernel._active_process = self
         try:
-            if throw:
-                target = self.generator.throw(event.value)
-            else:
-                target = self.generator.send(event.value)
+            self._target = _advance(self.kernel, self.generator, event._value,
+                                    throw, self._resume, self.name)
         except StopIteration as stop:
             self._triggered = True
             self._ok = True
@@ -270,26 +270,39 @@ class Process(Event):
             else:
                 # nobody is waiting: surface the failure from run()
                 self.kernel._crash = exc
-            return
-        finally:
-            self.kernel._active_process = None
 
-        if not isinstance(target, Event):
-            raise SimError(
-                f"process {self.name!r} yielded {target!r}, which is not an Event"
-            )
-        if target.callbacks is None:
-            # already processed: resume immediately at the current instant
-            immediate = Event(self.kernel)
-            immediate._holds = 0  # kernel-internal
-            immediate._triggered = True
-            immediate._ok = target.ok
-            immediate._value = target.value
-            immediate.callbacks.append(self._resume)
-            self.kernel._schedule(immediate, 0, URGENT)
-        else:
-            target.callbacks.append(self._resume)
-            self._target = target
+
+def _advance(kernel: "SimKernel", generator: Generator, value: Any,
+             throw: bool, resume: Callable[[Event], None],
+             name: str) -> Optional[Event]:
+    """One step of a generator driven by the events it yields.
+
+    Sends *value* into *generator* (throws it when *throw*) and wires
+    *resume* to the event the generator yields next; an event that has
+    already been processed resumes it at the current instant through an
+    urgent carrier event.  Returns the event *resume* waits on (None
+    when the carrier resumes the generator).  The generator's return
+    (``StopIteration``) and its exceptions propagate to the caller —
+    :class:`Process` and :meth:`SimKernel.join` settle them differently.
+    """
+    if throw:
+        target = generator.throw(value)
+    else:
+        target = generator.send(value)
+    if not isinstance(target, Event):
+        raise SimError(f"{name!r} yielded {target!r}, which is not an Event")
+    if target.callbacks is None:
+        # already processed: resume immediately at the current instant
+        immediate = Event(kernel)
+        immediate._holds = 0  # kernel-internal
+        immediate._triggered = True
+        immediate._ok = target._ok
+        immediate._value = target._value
+        immediate.callbacks.append(resume)
+        kernel._schedule(immediate, 0, URGENT)
+        return None
+    target.callbacks.append(resume)
+    return target
 
 
 class AllOf(Event):
@@ -423,7 +436,6 @@ class SimKernel:
         "_heap",
         "_seq",
         "_now",
-        "_active_process",
         "_crash",
         "_timeout_pool",
         "_event_pool",
@@ -443,7 +455,6 @@ class SimKernel:
         self._heap: List[Entry] = []
         self._seq = 0
         self._now = 0
-        self._active_process: Optional[Process] = None
         self._crash: Optional[BaseException] = None
         # object pools: Timeout/Event instances are the kernel's hottest
         # allocation; the dispatch loop recycles kernel-owned ones (hold
@@ -464,11 +475,6 @@ class SimKernel:
     def now(self) -> int:
         """Current simulated time in ticks."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing, if any."""
-        return self._active_process
 
     # -- event factories --------------------------------------------------
     def event(self) -> Event:
@@ -523,6 +529,51 @@ class SimKernel:
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Wait for the first of *events*."""
         return AnyOf(self, events)
+
+    def join(self, generators: Iterable[Generator]) -> Event:
+        """Run *generators* concurrently; the returned event fires with
+        their return values in order once all have returned, or fails
+        with the first exception one raises (as an :class:`AllOf` over
+        their processes would).
+
+        Each generator starts synchronously, in order, and is then
+        driven straight from the callbacks of the events it yields, one
+        :func:`_advance` per resume like a :class:`Process` — but no
+        process, start event, per-child completion event or combinator
+        is created.  The join event is creator-owned, never pooled, so
+        it may be yielded after it fired (a request waited on late).  A
+        child's exception reaches only those who wait on the join; it
+        never surfaces from :meth:`run` on its own as a process's does.
+        """
+        joined = Event(self)
+        gens = list(generators)
+        results: List[Any] = [None] * len(gens)
+        pending = len(gens)
+
+        def start(index: int, generator: Generator) -> None:
+            def resume(event: Event) -> None:
+                step(event._value, not event._ok)
+
+            def step(value: Any, throw: bool) -> None:
+                nonlocal pending
+                try:
+                    _advance(self, generator, value, throw, resume, "join")
+                except StopIteration as stop:
+                    results[index] = stop.value
+                    pending -= 1
+                    if pending == 0 and not joined._triggered:
+                        joined.succeed(results)
+                except BaseException as exc:
+                    if not joined._triggered:
+                        joined.fail(exc)
+
+            step(None, False)
+
+        for index, generator in enumerate(gens):
+            start(index, generator)
+        if not gens:
+            joined.succeed(results)
+        return joined
 
     # -- pooling ----------------------------------------------------------
     def _recycle(self, event: Event) -> None:

@@ -14,7 +14,9 @@ paper measures it as a near-constant 230–950 TBR ticks).  Steps 2-3 are
 the adapter pipeline (:meth:`HCA._tx_begin` onwards): WQE fetch over the
 bus, per-SGE ATT translation and DMA gather, wire transfer, remote
 scatter, CQE write and the RC acknowledgement.  Step 4 is :meth:`HCA.
-wait_completion`.
+wait_completion`, or a consumer handler the CQ calls as the CQE is
+written (:meth:`repro.ib.verbs.CompletionQueue.push`); both charge one
+:meth:`HCA.poll_cost`.
 
 Scatter/gather economics (§4): the per-WQE costs (doorbell, WQE fetch,
 pipeline occupancy, completion) are paid once regardless of SGE count,
@@ -368,6 +370,14 @@ class HCA:
 
     def post_recv(self, qp: QueuePair, wr: RecvWR) -> Generator:
         """Post a receive WR (no doorbell on the fast path)."""
+        yield self.kernel.timeout(self.post_recv_ticks(qp, wr))
+        qp.recv_q.put_nowait(wr)
+
+    def post_recv_ticks(self, qp: QueuePair, wr: RecvWR) -> int:
+        """Check a receive WR and count its post; returns the post's CPU
+        cost, after which the WR goes on *qp*'s receive queue.  Shared by
+        :meth:`post_recv` and callback-driven consumers (a CQ handler
+        reposting a buffer)."""
         san = sanitize._active
         for sge in wr.sges:
             mr = self.lookup_mr(sge.lkey)
@@ -379,22 +389,29 @@ class HCA:
                 san.check_dma(mr, sge.addr, sge.length, "post_recv")
         ns = self.config.post_base_ns * 0.6 + len(wr.sges) * self.config.post_per_sge_ns
         self.counters.add("hca.post_recv")
-        yield self.kernel.timeout(self.clock.ns_to_ticks(ns))
-        qp.recv_q.put_nowait(wr)
+        return self.clock.ns_to_ticks(ns)
 
     # -- completion consumption (CPU side) ------------------------------------------------
     def wait_completion(self, cq: CompletionQueue) -> Generator:
-        """Block until a CQE is available, consume it (one poll cost)."""
+        """Block until a CQE is available, consume it (one poll cost).
+
+        A CQ with a consumer handler (:meth:`CompletionQueue.set_handler`)
+        is not polled: its CQEs belong to the handler."""
+        if cq.handler is not None:
+            raise IBVerbsError(
+                f"wait_completion on CQ {cq.cq_id}, which has a handler")
         wc = cq.store.try_get()
         if wc is None:
             wc = yield cq.store.get()
-        yield self.kernel.timeout(self.clock.ns_to_ticks(self.config.poll_ns))
+        yield self.poll_cost()
         return wc
 
-    def try_poll(self, cq: CompletionQueue) -> Optional[WorkCompletion]:
-        """Non-blocking poll (untimed peek; benchmarks that care about
-        poll cost use :meth:`wait_completion`)."""
-        return cq.store.try_get()
+    def poll_cost(self, value: Any = None) -> Event:
+        """The CPU cost of one CQ poll as a kernel-owned timeout carrying
+        *value* (:meth:`wait_completion` and CQ handlers both charge it)."""
+        return self.kernel.timeout(self.clock.ns_to_ticks(self.config.poll_ns),
+                                   value)
+
     # -- chain plumbing ---------------------------------------------------------------------
     def _after(self, delay_ticks: int,
                callback: Callable[[Event], None]) -> None:
@@ -514,7 +531,7 @@ class HCA:
     @staticmethod
     def _send_cqe(qp: QueuePair, wr: SendWR, status: str) -> None:
         """Write *wr*'s send-side CQE and free its send-queue slot."""
-        qp.send_cq.store.put_nowait(
+        qp.send_cq.push(
             WorkCompletion(
                 wr_id=wr.wr_id,
                 opcode=wr.opcode,
@@ -824,7 +841,7 @@ class HCA:
         self.bus.write_channel.release()
         self.counters.add("hca.rx_messages")
         self.counters.add("hca.rx_bytes", packet.nbytes)
-        qp.recv_cq.store.put_nowait(
+        qp.recv_cq.push(
             WorkCompletion(
                 wr_id=recv_wr.wr_id,
                 opcode="recv",
@@ -975,7 +992,7 @@ class HCA:
 
     def _rx_read_complete(self, qp: QueuePair, wr: SendWR, packet: _Packet,
                           span: _Span) -> None:
-        qp.send_cq.store.put_nowait(
+        qp.send_cq.push(
             WorkCompletion(
                 wr_id=wr.wr_id,
                 opcode="rdma_read",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.engine.core import SimKernel
 from repro.engine.resources import Resource, Store
@@ -168,14 +168,49 @@ class WorkCompletion:
 
 
 class CompletionQueue:
-    """A completion queue: CQEs land in a Store the consumer drains."""
+    """A completion queue: CQEs land in a Store the consumer polls, or go
+    to a consumer handler.
+
+    With a handler installed (:meth:`set_handler`), :meth:`push` calls it
+    synchronously at the instant the adapter writes the CQE — the
+    consumer polls from inside its own library, with no progress thread
+    (MPICH2 over InfiniBand).  The handler owns the CQ until it calls
+    :meth:`handled`; CQEs written meanwhile wait in the store and are
+    handed over one at a time, in order, as a polling loop would take
+    them.
+    """
 
     def __init__(self, kernel: SimKernel):
         self.cq_id = next(_ids)
         self.store = Store(kernel)
+        self.handler: Optional[Callable[[WorkCompletion], None]] = None
+        self._busy = False
 
     def __len__(self) -> int:
         return len(self.store)
+
+    def push(self, wc: WorkCompletion) -> None:
+        """Write one CQE (the adapter's only way in)."""
+        if self.handler is None or self._busy:
+            self.store.put_nowait(wc)
+        else:
+            self._busy = True
+            self.handler(wc)
+
+    def set_handler(self, handler: Callable[[WorkCompletion], None]) -> None:
+        """Consume CQEs with *handler* instead of polls; CQEs already
+        waiting are handed to it at once."""
+        self.handler = handler
+        if not self._busy:
+            self.handled()
+
+    def handled(self, _event: Any = None) -> None:
+        """The handler is done with its CQE: hand it the next waiting one.
+        Usable directly as an event callback."""
+        wc = self.store.try_get()
+        self._busy = wc is not None
+        if wc is not None:
+            self.handler(wc)
 
 
 #: Legal forward transitions of the QP verbs state machine (IB spec

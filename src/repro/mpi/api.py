@@ -16,6 +16,16 @@ size > 16 KB              RDMA rendezvous (:mod:`repro.mpi.rendezvous`)
 
 Every communicator call is timed into the rank's mpiP-style profiler, so
 Fig 6's communication/computation split is measured, not assumed.
+
+Progress runs inside the library, as in MPICH2 over InfiniBand: there is
+no progress thread.  Each endpoint's completion queues call its handlers
+as the adapter writes a CQE; a handler charges one poll, then matches
+the envelope and reposts the bounce buffer (receive side) or completes
+the waiting sender (send side).  ``sendrecv``, the nonblocking requests
+and every collective step run their send and receive halves as
+generators driven from the events they yield
+(:meth:`~repro.engine.core.SimKernel.join`), so the only DES processes
+are the rank programs.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Generator, List,
                     Optional, Sequence, Tuple)
 
-from repro.engine.core import Event, Process, SimKernel
+from repro.engine.core import Event, SimKernel
 from repro.engine.resources import Channel, Store
 from repro.faults import MPITransportError
 from repro.ib.verbs import (
@@ -36,6 +46,7 @@ from repro.ib.verbs import (
     QueuePair,
     RecvWR,
     SendWR,
+    WorkCompletion,
 )
 from repro.mpi import eager as eager_mod
 from repro.mpi import rendezvous as rndv_mod
@@ -128,8 +139,8 @@ class Endpoint:
         self._wr_ids = itertools.count(1)
         self._rndv_ids = itertools.count(1)
         self._send_events: Dict[int, Event] = {}
-        self._recv_slots: Dict[int, Tuple[int, int, object]] = {}
-        self._ready = False
+        #: posted eager receive WR id -> (QP, bounce buffer, its MR)
+        self._recv_slots: Dict[int, Tuple[QueuePair, int, MemoryRegion]] = {}
 
     # -- identity helpers ------------------------------------------------------
     def node_of(self, rank: int) -> int:
@@ -170,8 +181,9 @@ class Endpoint:
 
     # -- setup -------------------------------------------------------------------
     def setup(self) -> Generator:
-        """Allocate and register bounce buffers, pre-post receives, start
-        progress engines.  Timed (runs before the profiled window)."""
+        """Allocate and register bounce buffers, pre-post receives,
+        install the CQ handlers.  Timed (runs before the profiled
+        window)."""
         from repro import trace
 
         tracer = trace.active()
@@ -197,41 +209,54 @@ class Endpoint:
             cursor += cfg.eager_buf_bytes
         for peer, qp in self.qps.items():
             for _ in range(cfg.prepost_depth):
-                yield from self._post_eager_recv(qp, cursor, mr)
+                yield from self.hca.post_recv(qp, self._eager_recv(qp, cursor, mr))
                 cursor += cfg.eager_buf_bytes
-        self.kernel.process(self._recv_progress(), name=f"r{self.rank}-rxprog")
-        self.kernel.process(self._send_progress(), name=f"r{self.rank}-txprog")
-        self._ready = True
+        self.recv_cq.set_handler(self._on_recv_cqe)
+        self.send_cq.set_handler(self._on_send_cqe)
 
-    def _post_eager_recv(self, qp: QueuePair, buf: int,
-                         mr: MemoryRegion) -> Generator:
+    def _eager_recv(self, qp: QueuePair, buf: int, mr: MemoryRegion) -> RecvWR:
+        """The receive WR that posts bounce buffer *buf* for eager traffic."""
         wr_id = self.next_wr_id()
-        self._recv_slots[wr_id] = (buf, qp.qp_num, (qp, mr))
-        wr = RecvWR(wr_id=wr_id, sges=[SGE(buf, self.config.eager_buf_bytes, mr.lkey)])
-        yield from self.hca.post_recv(qp, wr)
+        self._recv_slots[wr_id] = (qp, buf, mr)
+        return RecvWR(wr_id=wr_id, sges=[SGE(buf, self.config.eager_buf_bytes, mr.lkey)])
 
-    # -- progress engines -------------------------------------------------------------
-    def _recv_progress(self) -> Generator:
-        while True:
-            wc = yield from self.hca.wait_completion(self.recv_cq)
-            buf, _qp_num, (qp, mr) = self._recv_slots.pop(wc.wr_id)
-            env = wc.payload
-            self._dispatch(env)
-            yield from self._post_eager_recv(qp, buf, mr)
+    # -- completion handlers ----------------------------------------------------------
+    # The CQs call these as the adapter writes each CQE (one at a time per
+    # CQ): one poll's cost, then the protocol work a progress loop would do.
+    def _on_recv_cqe(self, wc: WorkCompletion) -> None:
+        self.hca.poll_cost(wc).callbacks.append(self._recv_polled)
 
-    def _send_progress(self) -> Generator:
-        while True:
-            wc = yield from self.hca.wait_completion(self.send_cq)
-            ev = self._send_events.pop(wc.wr_id, None)
-            if ev is None:
-                raise RuntimeError(f"completion for unknown WR {wc.wr_id}")
-            if wc.ok:
-                ev.succeed(wc)
-            else:
-                ev.fail(MPITransportError(
-                    f"rank {self.rank}: send WR {wc.wr_id} "
-                    f"({wc.byte_len} B, {wc.opcode}) failed: {wc.status}"
-                ))
+    def _recv_polled(self, polled: Event) -> None:
+        """Dispatch the envelope, then repost its bounce buffer."""
+        wc = polled.value
+        qp, buf, mr = self._recv_slots.pop(wc.wr_id)
+        self._dispatch(wc.payload)
+        wr = self._eager_recv(qp, buf, mr)
+        self.kernel.timeout(self.hca.post_recv_ticks(qp, wr),
+                            (qp, wr)).callbacks.append(self._reposted)
+
+    def _reposted(self, posted: Event) -> None:
+        qp, wr = posted.value
+        qp.recv_q.put_nowait(wr)
+        self.recv_cq.handled()
+
+    def _on_send_cqe(self, wc: WorkCompletion) -> None:
+        self.hca.poll_cost(wc).callbacks.append(self._send_polled)
+
+    def _send_polled(self, polled: Event) -> None:
+        """Complete (or fail) the event the sender waits on."""
+        wc = polled.value
+        ev = self._send_events.pop(wc.wr_id, None)
+        if ev is None:
+            raise RuntimeError(f"completion for unknown WR {wc.wr_id}")
+        if wc.ok:
+            ev.succeed(wc)
+        else:
+            ev.fail(MPITransportError(
+                f"rank {self.rank}: send WR {wc.wr_id} "
+                f"({wc.byte_len} B, {wc.opcode}) failed: {wc.status}"
+            ))
+        self.send_cq.handled()
 
     def _dispatch(self, env: Envelope) -> None:
         if env.kind in ("eager", "rts", "rdat"):
@@ -409,50 +434,40 @@ class Communicator:
                  payload: Any = None) -> Generator:
         """MPI_Sendrecv: send and receive concurrently."""
         t0 = self.kernel.now
-        sp = self.kernel.process(
+        results = yield self.kernel.join([
             self.endpoint.send(dest, sendtag, size, send_addr, payload),
-            name=f"r{self.rank}-sr-send",
-        )
-        rp = self.kernel.process(
             self.endpoint.recv(source, recvtag, recv_addr),
-            name=f"r{self.rank}-sr-recv",
-        )
-        results = yield self.kernel.all_of([sp, rp])
+        ])
         self.profiler.record("MPI_Sendrecv", self.kernel.now - t0, size)
         return results[1]
 
     def isend(self, dest: int, tag: int, size: int,
-              addr: Optional[int] = None, payload: Any = None) -> Process:
-        """Nonblocking send: returns a request (a DES process event);
-        complete it with :meth:`wait`."""
-        return self.kernel.process(
-            self.endpoint.send(dest, tag, size, addr, payload),
-            name=f"r{self.rank}-isend",
-        )
+              addr: Optional[int] = None, payload: Any = None) -> Event:
+        """Nonblocking send: returns a request — the event of a one-child
+        :meth:`~repro.engine.core.SimKernel.join` that drives the send
+        from its callbacks; complete it with :meth:`wait`."""
+        return self.kernel.join([self.endpoint.send(dest, tag, size, addr, payload)])
 
     def irecv(self, source: Optional[int] = None, tag: Optional[int] = None,
-              addr: Optional[int] = None) -> Process:
-        """Nonblocking receive: returns a request; :meth:`wait` yields
-        ``(payload, size, src, tag)``."""
-        return self.kernel.process(
-            self.endpoint.recv(source, tag, addr),
-            name=f"r{self.rank}-irecv",
-        )
+              addr: Optional[int] = None) -> Event:
+        """Nonblocking receive: returns a request like :meth:`isend`'s;
+        :meth:`wait` returns ``(payload, size, src, tag)``."""
+        return self.kernel.join([self.endpoint.recv(source, tag, addr)])
 
-    def wait(self, request: Process) -> Generator:
+    def wait(self, request: Event) -> Generator:
         """Complete one nonblocking request (MPI_Wait)."""
         t0 = self.kernel.now
-        result = yield request
+        (result,) = yield request
         self.profiler.record("MPI_Wait", self.kernel.now - t0)
         return result
 
-    def waitall(self, requests: Sequence[Process]) -> Generator:
+    def waitall(self, requests: Sequence[Event]) -> Generator:
         """Complete several requests (MPI_Waitall); returns their
         results in order."""
         t0 = self.kernel.now
         results = yield self.kernel.all_of(list(requests))
         self.profiler.record("MPI_Waitall", self.kernel.now - t0)
-        return results
+        return [result for (result,) in results]
 
     def send_packed(self, dest: int, tag: int,
                     blocks: List[Tuple[int, int]], mr: MemoryRegion,

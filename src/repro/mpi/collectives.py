@@ -16,7 +16,7 @@ from typing import (TYPE_CHECKING, Any, Callable, Generator, List,
                     Optional)
 
 if TYPE_CHECKING:
-    from repro.mpi.api import Communicator
+    from repro.mpi.api import Communicator, Endpoint
 
 # tag bases, far above user tags
 _BARRIER = 1 << 20
@@ -52,16 +52,14 @@ def barrier(comm: Communicator) -> Generator:
         return
         yield  # pragma: no cover
     base = _BARRIER + _epoch(comm, "barrier") % 4096 * _EPOCH_STRIDE
-    ep = comm.endpoint
+    ep: Endpoint = comm.endpoint
     k = 0
     dist = 1
     while dist < size:
         dest = (rank + dist) % size
         src = (rank - dist) % size
         tag = base + k
-        sp = comm.kernel.process(ep.send(dest, tag, 1), name=f"bar-s{rank}")
-        rp = comm.kernel.process(ep.recv(src, tag), name=f"bar-r{rank}")
-        yield comm.kernel.all_of([sp, rp])
+        yield comm.kernel.join([ep.send(dest, tag, 1), ep.recv(src, tag)])
         dist <<= 1
         k += 1
 
@@ -73,7 +71,7 @@ def bcast(comm: Communicator, root: int, size: int, payload: Any = None,
     if n == 1:
         return payload
     tag = _BCAST + _epoch(comm, "bcast") % 4096 * _EPOCH_STRIDE
-    ep = comm.endpoint
+    ep: Endpoint = comm.endpoint
     vrank = (rank - root) % n
     mask = 1
     value = payload if rank == root else None
@@ -105,7 +103,7 @@ def reduce(comm: Communicator, root: int, size: int, value: Any = None,
     if n == 1:
         return value
     tag = _REDUCE + _epoch(comm, "reduce") % 4096 * _EPOCH_STRIDE
-    ep = comm.endpoint
+    ep: Endpoint = comm.endpoint
     vrank = (rank - root) % n
     acc = value
     mask = 1
@@ -137,18 +135,16 @@ def allreduce(comm: Communicator, size: int, value: Any = None,
         acc = yield from reduce(comm, 0, size, value, op, addr)
         return (yield from bcast(comm, 0, size, acc, addr))
     tag = _ALLRED + _epoch(comm, "allreduce") % 4096 * _EPOCH_STRIDE
-    ep = comm.endpoint
+    ep: Endpoint = comm.endpoint
     acc = value
     mask = 1
     k = 0
     while mask < n:
         partner = rank ^ mask
-        sp = comm.kernel.process(
-            ep.send(partner, tag + k, size, addr, acc), name=f"ar-s{rank}"
-        )
-        rp = comm.kernel.process(ep.recv(partner, tag + k, addr), name=f"ar-r{rank}")
-        results = yield comm.kernel.all_of([sp, rp])
-        other = results[1][0]
+        _, (other, _, _, _) = yield comm.kernel.join([
+            ep.send(partner, tag + k, size, addr, acc),
+            ep.recv(partner, tag + k, addr),
+        ])
         acc = op(acc, other)
         mask <<= 1
         k += 1
@@ -171,7 +167,7 @@ def allgather(comm: Communicator, size: int, value: Any = None,
     if n == 1:
         return values
     tag = _GATHER + _epoch(comm, "allgather") % 4096 * _EPOCH_STRIDE
-    ep = comm.endpoint
+    ep: Endpoint = comm.endpoint
     right = (rank + 1) % n
     left = (rank - 1) % n
     carry_idx = rank
@@ -179,15 +175,11 @@ def allgather(comm: Communicator, size: int, value: Any = None,
         incoming_idx = (rank - step - 1) % n
         send_addr = addr + carry_idx * size if addr is not None else None
         recv_addr = addr + incoming_idx * size if addr is not None else None
-        sp = comm.kernel.process(
-            ep.send(right, tag + step, size, send_addr, (carry_idx, values[carry_idx])),
-            name=f"ag-s{rank}",
-        )
-        rp = comm.kernel.process(
-            ep.recv(left, tag + step, recv_addr), name=f"ag-r{rank}"
-        )
-        results = yield comm.kernel.all_of([sp, rp])
-        idx, val = results[1][0]
+        _, ((idx, val), _, _, _) = yield comm.kernel.join([
+            ep.send(right, tag + step, size, send_addr,
+                    (carry_idx, values[carry_idx])),
+            ep.recv(left, tag + step, recv_addr),
+        ])
         values[idx] = val
         carry_idx = idx
     return values
@@ -215,19 +207,14 @@ def alltoallv(comm: Communicator, sizes: List[int], payloads: Optional[List[Any]
     if n == 1:
         return received
     tag = _A2A + _epoch(comm, "alltoallv") % 4096 * _EPOCH_STRIDE
-    ep = comm.endpoint
+    ep: Endpoint = comm.endpoint
     for step in range(1, n):
         dest = (rank + step) % n
         src = (rank - step) % n
-        sp = comm.kernel.process(
+        _, (received[src], _, _, _) = yield comm.kernel.join([
             ep.send(dest, tag + step, sizes[dest], addrs[dest], payloads[dest]),
-            name=f"a2a-s{rank}",
-        )
-        rp = comm.kernel.process(
-            ep.recv(src, tag + step, recv_addrs[src]), name=f"a2a-r{rank}"
-        )
-        results = yield comm.kernel.all_of([sp, rp])
-        received[src] = results[1][0]
+            ep.recv(src, tag + step, recv_addrs[src]),
+        ])
     return received
 
 
@@ -238,7 +225,7 @@ def gather(comm: Communicator, root: int, size: int, value: Any = None) -> Gener
     if n == 1:
         return [value]
     tag = _GATHERV + _epoch(comm, "gather") % 4096 * _EPOCH_STRIDE
-    ep = comm.endpoint
+    ep: Endpoint = comm.endpoint
     vrank = (rank - root) % n
     bundle = {vrank: value}
     mask = 1
@@ -274,7 +261,7 @@ def scatter(comm: Communicator, root: int, size: int,
     else:
         bundle = None
     tag = _SCATTER + _epoch(comm, "scatter") % 4096 * _EPOCH_STRIDE
-    ep = comm.endpoint
+    ep: Endpoint = comm.endpoint
     vrank = (rank - root) % n
     mask = 1
     while mask < n:
@@ -308,7 +295,7 @@ def scan(comm: Communicator, size: int, value: Any = None,
     if n == 1:
         return value
     tag = _SCAN + _epoch(comm, "scan") % 4096 * _EPOCH_STRIDE
-    ep = comm.endpoint
+    ep: Endpoint = comm.endpoint
     result = value        # inclusive prefix so far
     carry = value         # contribution this rank forwards upward
     mask = 1
@@ -316,17 +303,14 @@ def scan(comm: Communicator, size: int, value: Any = None,
     while mask < n:
         partner_up = rank + mask
         partner_down = rank - mask
-        ops = []
+        halves = []
         if partner_up < n:
-            ops.append(comm.kernel.process(
-                ep.send(partner_up, tag + k, size, None, carry)))
-        recv_proc = None
+            halves.append(ep.send(partner_up, tag + k, size, None, carry))
         if partner_down >= 0:
-            recv_proc = comm.kernel.process(ep.recv(partner_down, tag + k))
-            ops.append(recv_proc)
-        if ops:
-            results = yield comm.kernel.all_of(ops)
-        if recv_proc is not None:
+            halves.append(ep.recv(partner_down, tag + k))
+        if halves:
+            results = yield comm.kernel.join(halves)
+        if partner_down >= 0:
             other = results[-1][0]
             result = op(other, result)
             carry = op(other, carry)

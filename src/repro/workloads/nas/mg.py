@@ -19,11 +19,14 @@ Poisson problem, verified by residual-norm reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, List
+from typing import TYPE_CHECKING, Dict, Generator, List
 
 import numpy as np
 
 from repro.workloads.nas.common import KB, MB
+
+if TYPE_CHECKING:
+    from repro.mpi.api import Endpoint
 
 
 @dataclass(frozen=True)
@@ -85,28 +88,25 @@ def program(comm, klass: str = "W") -> Generator:
         (left_ghost, right_ghost).  Timed as MPI_Halo in the profiler."""
         t0 = comm.kernel.now
         lg = rg = 0.0
-        ops = []
+        ep: Endpoint = comm.endpoint
+        sends = []
         if right is not None:
-            ops.append(comm.kernel.process(comm.endpoint.send(
-                right, tag_base, size_bytes, addr=grids[1],
-                payload=float(vec[-1]))))
+            sends.append(ep.send(right, tag_base, size_bytes, addr=grids[1],
+                                 payload=float(vec[-1])))
         if left is not None:
-            ops.append(comm.kernel.process(comm.endpoint.send(
-                left, tag_base + 1, size_bytes, addr=grids[1],
-                payload=float(vec[0]))))
+            sends.append(ep.send(left, tag_base + 1, size_bytes, addr=grids[1],
+                                 payload=float(vec[0])))
         recvs = []
         if left is not None:
-            recvs.append(("L", comm.kernel.process(
-                comm.endpoint.recv(left, tag_base, recv_slot_l))))
+            recvs.append(ep.recv(left, tag_base, recv_slot_l))
         if right is not None:
-            recvs.append(("R", comm.kernel.process(
-                comm.endpoint.recv(right, tag_base + 1, recv_slot_r))))
-        results = yield comm.kernel.all_of([pr for _, pr in recvs] + ops)
-        for (side, _), res in zip(recvs, results):
-            if side == "L":
-                lg = res[0]
-            else:
-                rg = res[0]
+            recvs.append(ep.recv(right, tag_base + 1, recv_slot_r))
+        results = yield comm.kernel.join(sends + recvs)
+        received = results[len(sends):]
+        if left is not None:
+            lg = received.pop(0)[0]
+        if right is not None:
+            rg = received.pop(0)[0]
         comm.profiler.record("MPI_Halo", comm.kernel.now - t0, 2 * size_bytes)
         return lg, rg
 

@@ -270,6 +270,139 @@ class TestCombinators:
             kernel.any_of([])
 
 
+class TestJoin:
+    @staticmethod
+    def child(kernel, delay, value, log=None):
+        if log is not None:
+            log.append(("start", value))
+        yield kernel.timeout(delay)
+        return value
+
+    def test_results_in_order_after_the_slowest(self, kernel):
+        log = []
+
+        def proc():
+            joined = kernel.join([self.child(kernel, 30, "a", log),
+                                  self.child(kernel, 10, "b", log)])
+            # children start synchronously, in order, before the caller yields
+            assert log == [("start", "a"), ("start", "b")]
+            vals = yield joined
+            return kernel.now, vals
+
+        p = kernel.process(proc())
+        kernel.run()
+        assert p.value == (30, ["a", "b"])
+
+    def test_no_process_is_created(self, kernel, monkeypatch):
+        from repro.engine.core import Process
+
+        made = []
+        init = Process.__init__
+
+        def counted(process, *args, **kwargs):
+            made.append(process)
+            init(process, *args, **kwargs)
+
+        def proc():
+            yield kernel.join([self.child(kernel, 5, i) for i in range(3)])
+
+        kernel.process(proc())
+        monkeypatch.setattr(Process, "__init__", counted)
+        kernel.run()
+        assert made == []
+
+    def test_first_failure_is_raised(self, kernel):
+        def boom(delay, msg):
+            yield kernel.timeout(delay)
+            raise ValueError(msg)
+
+        def proc():
+            try:
+                yield kernel.join([self.child(kernel, 50, "slow"),
+                                   boom(20, "second"), boom(10, "first")])
+            except ValueError as exc:
+                return kernel.now, str(exc)
+
+        p = kernel.process(proc())
+        kernel.run()
+        assert p.value == (10, "first")
+
+    def test_failure_at_start_is_raised(self, kernel):
+        def bad():
+            raise KeyError("at start")
+            yield  # pragma: no cover
+
+        def proc():
+            try:
+                yield kernel.join([bad()])
+            except KeyError:
+                return "caught"
+
+        p = kernel.process(proc())
+        kernel.run()
+        assert p.value == "caught"
+
+    def test_already_processed_event_is_handled(self, kernel):
+        done = kernel.event().hold()
+        done.succeed("early")
+
+        def late():
+            yield kernel.timeout(5)
+            # *done* fired at tick 0: the child resumes at once
+            return (yield done), kernel.now
+
+        def proc():
+            return (yield kernel.join([late()]))
+
+        p = kernel.process(proc())
+        kernel.run()
+        assert p.value == [("early", 5)]
+
+    def test_failed_processed_event_is_thrown(self, kernel):
+        bad = kernel.event().hold()
+        bad.fail(RuntimeError("x"))
+        bad.callbacks.append(lambda _ev: None)  # observed: no crash
+
+        def late():
+            yield kernel.timeout(1)
+            try:
+                yield bad
+            except RuntimeError:
+                return "thrown"
+
+        def proc():
+            return (yield kernel.join([late()]))
+
+        p = kernel.process(proc())
+        kernel.run()
+        assert p.value == ["thrown"]
+
+    def test_join_event_can_be_yielded_after_it_fired(self, kernel):
+        def proc():
+            request = kernel.join([self.child(kernel, 5, "x")])
+            yield kernel.timeout(100)  # the join fires meanwhile ...
+            assert request.processed
+            # ... and is not recycled: fresh events drain the pool
+            for _ in range(4):
+                yield kernel.event().succeed(delay=1)
+            first = yield request
+            second = yield request
+            return kernel.now, first, second
+
+        p = kernel.process(proc())
+        kernel.run()
+        assert p.value == (104, ["x"], ["x"])
+
+    def test_empty_join_fires_immediately(self, kernel):
+        def proc():
+            vals = yield kernel.join([])
+            return kernel.now, vals
+
+        p = kernel.process(proc())
+        kernel.run()
+        assert p.value == (0, [])
+
+
 class TestDeterminism:
     def test_fifo_order_at_same_instant(self, kernel):
         order = []

@@ -385,6 +385,44 @@ class TestLossyLinkDemo:
         with pytest.raises(MPITransportError, match="failed|aborted"):
             _run_transfers(plan, n_msgs=1)
 
+    @pytest.mark.parametrize("step", [
+        "barrier", "allreduce", "allgather", "alltoallv", "scan", "sendrecv",
+    ])
+    def test_exhausted_collective_step_raises_in_rank_program(self, step):
+        """A collective or sendrecv step whose halves run as join
+        children delivers the abort to the rank program; the run ends."""
+        exhausting = FaultPlan(link_loss=1.0, retry_cnt=1,
+                               ack_timeout_ns=20_000.0)
+        cluster = Cluster(presets.opteron_infinihost_pcie(), n_nodes=2,
+                          fault_plan=exhausting)
+        # a clean link for endpoint setup and the opening barrier; the
+        # QPs keep the exhausting plan's retry_cnt
+        cluster.faults.plan = FaultPlan(retry_cnt=1, ack_timeout_ns=20_000.0)
+        world = MPIWorld(cluster, ppn=1)
+        seen = []
+
+        def program(comm):
+            cluster.faults.plan = exhausting
+            calls = {
+                "barrier": lambda: comm.barrier(),
+                "allreduce": lambda: comm.allreduce(8, value=1),
+                "allgather": lambda: comm.allgather(8, value=1),
+                "alltoallv": lambda: comm.alltoallv([8, 8]),
+                "scan": lambda: comm.scan(8, value=1),
+                "sendrecv": lambda: comm.sendrecv(1 - comm.rank, 1, 8,
+                                                  source=1 - comm.rank),
+            }
+            try:
+                yield from calls[step]()
+            except MPITransportError as exc:
+                seen.append(comm.rank)
+                assert "transport-retry-exceeded-error" in str(exc)
+                raise
+
+        with pytest.raises(MPITransportError, match="aborted"):
+            world.run(program)
+        assert seen
+
 
 # ---------------------------------------------------------------------------
 # registration faults through the regcache (transient retried, permanent

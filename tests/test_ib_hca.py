@@ -178,6 +178,64 @@ class TestValidation:
             SendWR(wr_id=1, sges=[SGE(0, 8, 1)], opcode="atomic_cas")
 
 
+class TestCompletionHandlers:
+    def test_wait_completion_refuses_a_handled_cq(self):
+        cluster, _, (b, *_rest), cqs = make_pair()
+        cqs["rb"].set_handler(lambda wc: None)
+
+        def poller():
+            yield from b.hca.wait_completion(cqs["rb"])
+
+        cluster.kernel.process(poller())
+        with pytest.raises(IBVerbsError, match="handler"):
+            cluster.kernel.run()
+
+    def test_handler_takes_cqes_one_at_a_time_in_order(self):
+        cluster, (a, pa, buf_a, pd_a, qa), _, cqs = make_pair()
+        k = cluster.kernel
+        cq = cqs["sa"]
+        log = []
+
+        def handler(wc):
+            log.append(("begin", wc.wr_id, k.now, len(cq)))
+            # a slow consumer: later CQEs wait in the store meanwhile
+            k.timeout(100_000).callbacks.append(cq.handled)
+
+        cq.set_handler(handler)
+
+        def sender():
+            mr = yield from a.hca.register_memory(pa.aspace, pd_a, buf_a, MB)
+            for wr_id in (1, 2, 3):
+                yield from a.hca.post_send(
+                    qa, SendWR(wr_id=wr_id, sges=[SGE(buf_a, 64, mr.lkey)],
+                               opcode="rdma_write", remote_addr=0, rkey=0))
+
+        k.process(sender())
+        k.run()
+        assert [entry[1] for entry in log] == [1, 2, 3]
+        begins = [entry[2] for entry in log]
+        assert begins[1] - begins[0] == begins[2] - begins[1] == 100_000
+        assert len(cq) == 0
+
+    def test_set_handler_takes_cqes_already_waiting(self):
+        cluster, _, _, cqs = make_pair()
+        cq = cqs["sa"]
+        from repro.ib.verbs import WorkCompletion
+
+        for wr_id in (7, 8):
+            cq.push(WorkCompletion(wr_id=wr_id, opcode="send", byte_len=0))
+        seen = []
+
+        def handler(wc):
+            seen.append(wc.wr_id)
+            cq.handled()
+
+        cq.set_handler(handler)
+        assert seen == [7, 8]
+        cq.push(WorkCompletion(wr_id=9, opcode="send", byte_len=0))
+        assert seen == [7, 8, 9] and len(cq) == 0
+
+
 class TestRDMAWrite:
     def run_rdma(self, length=256 * 1024, corrupt_rkey=False):
         cluster, (a, pa, buf_a, pd_a, qa), (b, pb, buf_b, pd_b, qb), cqs = make_pair()

@@ -78,6 +78,22 @@ def test_kernel_counts_match_golden(command):
     assert measure(command, fast=False) == fast
 
 
+def test_performance_doc_quotes_the_committed_counts():
+    """docs/performance.md's "before → after" table ends in these counts."""
+    golden = json.loads(GOLDEN.read_text())
+    doc = (Path(__file__).parent.parent / "docs" / "performance.md").read_text()
+    rows = {}
+    for line in doc.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 4 and cells[0] in golden and \
+                all("→" in c for c in cells[1:]):
+            rows[cells[0]] = [c.split("→")[1].strip() for c in cells[1:]]
+    assert rows == {
+        command: [f"{c['processes']:,}", f"{c['events']:,}", f"{c['frames']:,}"]
+        for command, c in golden.items()
+    }
+
+
 if __name__ == "__main__":
     json.dump({c: measure(c) for c in COMMANDS}, sys.stdout, indent=2)
     sys.stdout.write("\n")
