@@ -59,11 +59,13 @@ timeouts, retry with exponential backoff, resume-from-snapshot crash
 recovery, sha256-keyed result memoization and a seeded ``--chaos``
 mode — see ``docs/batch_runner.md``.
 
-Exit codes are a contract across every subcommand: 0 = clean run, 2 =
-bad spec / failed preflight (bad flags, unreadable or corrupt
-snapshot/specfile, unwritable output path), 3 = sanitizer violation;
-the batch runner adds 1 = jobs failed permanently and 130 =
-interrupted.
+Exit codes are a contract across every subcommand: 0 = clean run, 1 =
+transport aborted (an RC retry budget ran out under ``--fault-plan``;
+one ``error: transport aborted: ...`` line on stderr, or the ``ABORTED``
+report of ``repro faults``), 2 = bad spec / failed preflight (bad flags,
+unreadable or corrupt snapshot/specfile, unwritable output path), 3 =
+sanitizer violation; the batch runner adds 1 = jobs failed permanently
+and 130 = interrupted.
 """
 
 from __future__ import annotations
@@ -963,7 +965,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         for name, (_fn, help_text) in COMMANDS.items():
             print(f"  {name:<14} {help_text}")
         return 0
-    _dispatch(args)
+    try:
+        _dispatch(args)
+    except Exception as exc:
+        # imported here: repro.faults pulls in repro.analysis, which
+        # `repro lint` never loads
+        from repro.faults import MPITransportError
+
+        if not isinstance(exc, MPITransportError):
+            raise
+        print(f"error: transport aborted: {exc}", file=sys.stderr)
+        raise SystemExit(1)
     return 0
 
 

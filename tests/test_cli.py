@@ -444,6 +444,18 @@ class TestExitCodeContract:
         assert "sanitize[heap.use-after-free]" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["pingpong", "fig5"])
+    def test_transport_abort_exits_1(self, command, capsys):
+        # a 1 % per-packet loss exhausts the retry budget of the first
+        # rendezvous transfer (hundreds of packets per attempt)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--fault-plan", "link_loss=0.01"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: transport aborted: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_lint_findings_exit_1(self, tmp_path, capsys):
         mod = tmp_path / "wallclock.py"
         mod.write_text("import time\n\ndef now():\n    return time.time()\n")
