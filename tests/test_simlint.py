@@ -42,6 +42,15 @@ class TestTaintPass:
         assert not any(f.symbol.startswith("badpkg.metrics")
                        for f in findings)
 
+    def test_socket_recv_reaching_sim_boundary_flagged(self):
+        findings = taint.run(_project())
+        assert "badpkg.tainted.socket_boot" in _symbols(findings)
+
+    def test_project_recv_method_is_not_a_socket(self):
+        symbols = _symbols(taint.run(_project()))
+        assert "badpkg.tainted.endpoint_boot" not in symbols
+        assert "badpkg.tainted.local_endpoint_boot" not in symbols
+
 
 class TestCheckpointCoveragePass:
     def _findings(self):

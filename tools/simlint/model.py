@@ -18,7 +18,8 @@ resolves the shapes that actually occur in this codebase —
 - ``self.attr.method(...)`` via attribute types inferred from
   ``__init__`` (``self.x = param`` with an annotated param, or
   ``self.x = ClassName(...)``),
-- ``param.method(...)`` via parameter annotations.
+- ``param.method(...)`` via parameter annotations, and ``local.method
+  (...)`` via annotated locals (``ep: Endpoint = comm.endpoint``).
 
 Anything else resolves to nothing, and passes treat an unresolved call
 as having no project effect.  That trades false negatives for a near-
@@ -225,6 +226,12 @@ class Project:
             for d in (_ann_to_dotted(a.annotation),)
             if d
         }
+        for stmt in ast.walk(node):
+            if isinstance(stmt, ast.AnnAssign) and isinstance(
+                    stmt.target, ast.Name):
+                d = _ann_to_dotted(stmt.annotation)
+                if d:
+                    annotations.setdefault(stmt.target.id, d)
         self.functions[qual] = FunctionInfo(
             qualname=qual, module=module, cls=cls, name=name, node=node,
             path=path, params=params, annotations=annotations)

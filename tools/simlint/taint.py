@@ -59,7 +59,8 @@ _CLOCK_SOURCES = {
     "datetime.date.today",
 }
 
-#: method names whose call result is data read off a socket
+#: method names whose call result is data read off a socket (unless the
+#: call resolves to a project method)
 _SOCKET_READS = {"recv", "recvfrom", "recv_into", "recvmsg"}
 #: stream reads count only on receivers that look like network streams
 _STREAM_READS = {"read", "readline", "readexactly", "readuntil"}
@@ -96,15 +97,19 @@ def _env_subscript(node: ast.Subscript) -> Optional[str]:
     return None
 
 
-def _source_of_call(call: ast.Call) -> Optional[str]:
-    """A human-readable source description when *call* reads host state."""
+def _source_of_call(call: ast.Call, project: Project,
+                    fn: FunctionInfo) -> Optional[str]:
+    """A human-readable source description when *call* reads host state.
+
+    A ``recv``-family call that resolves to a project method (an MPI
+    ``Endpoint.recv``) returns simulated data, not socket bytes."""
     d = dotted(call.func)
     if d in _CLOCK_SOURCES:
         return f"host clock ({d})"
     if isinstance(call.func, ast.Attribute):
         attr = call.func.attr
         recv = dotted(call.func.value) or ""
-        if attr in _SOCKET_READS:
+        if attr in _SOCKET_READS and project.resolve_call(fn, call) is None:
             return f"socket receive ({recv}.{attr})"
         if attr in _STREAM_READS and _STREAM_RECV_NAMES.search(recv):
             return f"stream read ({recv}.{attr})"
@@ -165,7 +170,7 @@ def _expr_taint(expr: ast.AST, env: Dict[str, str], project: Project,
             if env_key is not None:
                 return f"unsanctioned environment read ({env_key})"
         if isinstance(node, ast.Call):
-            src = _source_of_call(node)
+            src = _source_of_call(node, project, fn)
             if src:
                 return src
             callee = project.resolve_call(fn, node)
