@@ -221,8 +221,8 @@ class Endpoint:
         return RecvWR(wr_id=wr_id, sges=[SGE(buf, self.config.eager_buf_bytes, mr.lkey)])
 
     # -- completion handlers ----------------------------------------------------------
-    # The CQs call these as the adapter writes each CQE (one at a time per
-    # CQ): one poll's cost, then the protocol work a progress loop would do.
+    # The CQs call these as the adapter writes each CQE, one at a time per
+    # CQ: the poll's cost first, then the protocol work on its result.
     def _on_recv_cqe(self, wc: WorkCompletion) -> None:
         self.hca.poll_cost(wc).callbacks.append(self._recv_polled)
 
