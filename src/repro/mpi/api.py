@@ -156,6 +156,11 @@ class Endpoint:
         qp = self.qps.get(dest)
         if qp is None:
             raise ValueError(f"rank {self.rank} has no QP to rank {dest}")
+        if not qp.connected:
+            raise MPITransportError(
+                f"rank {self.rank}: QP {qp.qp_num} to rank {dest} is in state "
+                f"{qp.state} after a transport abort (RTS required)"
+            )
         return qp
 
     def make_envelope(self, kind: str, dest: int, tag: int, size: int,

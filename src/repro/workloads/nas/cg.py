@@ -13,7 +13,8 @@ vectors (few streams: fits even the small hugepage TLB array), and the
 irregular gather of ``x[col_index]`` (random within the vector region).
 
 Functional payload: a real distributed CG solve of a small SPD system
-(``A = M^T M + n·I``), verified by the residual-norm reduction.
+(``A = M^T M + n·I``, built once per run), verified by the
+residual-norm reduction.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Dict, Generator
 
 import numpy as np
 
-from repro.workloads.nas.common import KB, MB
+from repro.workloads.nas.common import KB, MB, per_run
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,14 @@ CLASSES: Dict[str, CGParams] = {
 }
 
 
+def _spd_system(n: int) -> np.ndarray:
+    """The seeded ``M^T M + n·I`` system, read-only."""
+    m = np.random.default_rng(20061).standard_normal((n, n))
+    a = m.T @ m + n * np.eye(n)
+    a.flags.writeable = False
+    return a
+
+
 def program(comm, klass: str = "W") -> Generator:
     """CG rank program; returns ``{"verified": bool, ...}``."""
     p = CLASSES[klass]
@@ -57,10 +66,7 @@ def program(comm, klass: str = "W") -> Generator:
     rows = p.n_mini // n
 
     # -- functional setup: the same SPD system on every rank ------------
-    rng = np.random.default_rng(20061)
-    m = rng.standard_normal((p.n_mini, p.n_mini))
-    a_full = m.T @ m + p.n_mini * np.eye(p.n_mini)
-    a_rows = a_full[rank * rows:(rank + 1) * rows]
+    a_rows = per_run(comm, _spd_system, p.n_mini)[rank * rows:(rank + 1) * rows]
     b_local = np.ones(rows)
 
     # -- timed arrays through the active allocator -----------------------

@@ -26,8 +26,9 @@ Modelling notes (also recorded in DESIGN.md):
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from repro.core.library import preload_hugepage_library
 from repro.faults import FaultPlan
@@ -36,6 +37,20 @@ from repro.systems.machine import Cluster, MachineSpec
 
 MB = 1024 * 1024
 KB = 1024
+
+#: one memo per live run, dropped with the run's world
+_PER_RUN: "weakref.WeakKeyDictionary[MPIWorld, dict]" = weakref.WeakKeyDictionary()
+
+
+def per_run(comm, fn: Callable[..., Any], *args) -> Any:
+    """``fn(*args)``, computed once per run and shared read-only by every
+    rank of *comm*'s world (host-side and untimed, so no tick moves).
+    The result must not refer to the world."""
+    memo = _PER_RUN.setdefault(comm.world, {})
+    key = (fn, *args)
+    if key not in memo:
+        memo[key] = fn(*args)
+    return memo[key]
 
 
 @dataclass

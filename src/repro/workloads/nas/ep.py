@@ -10,18 +10,18 @@ times" (§5.2) even while the long sequential sweeps over the random-pair
 buffer get faster from hugepage physical contiguity.
 
 Functional payload: real Marsaglia-style pair acceptance counting with
-numpy, reduced across ranks and verified against a locally recomputed
-reference.
+numpy, reduced across ranks and verified on every rank against the
+sequential sum of all blocks, each generated once per run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, List
+from typing import Dict, Generator, List, Tuple
 
 import numpy as np
 
-from repro.workloads.nas.common import KB, MB
+from repro.workloads.nas.common import KB, MB, per_run
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,34 @@ CLASSES: Dict[str, EPParams] = {
 }
 
 
+def _block(pairs: int, rank: int, block: int) -> Tuple[float, float, np.ndarray]:
+    """Gaussian-pair partials ``(sx, sy, counts)`` of one seeded block."""
+    rng = np.random.default_rng(777 + rank * 1000 + block)
+    u = rng.uniform(-1.0, 1.0, size=(pairs, 2))
+    t = np.sum(u * u, axis=1)
+    accept = t <= 1.0
+    tt = t[accept]
+    factor = np.sqrt(-2.0 * np.log(tt) / tt)
+    gx = u[accept, 0] * factor
+    gy = u[accept, 1] * factor
+    mag = np.maximum(np.abs(gx), np.abs(gy)).astype(np.int64)
+    counts = np.bincount(np.minimum(mag, 9), minlength=10)
+    return float(gx.sum()), float(gy.sum()), counts
+
+
+def _partials(comm, p: EPParams, ranks) -> Tuple[float, float, np.ndarray]:
+    """Sequential sum of the block partials of *ranks*, rank by rank."""
+    sx = sy = 0.0
+    counts = np.zeros(10, dtype=np.int64)
+    for r in ranks:
+        for block in range(p.blocks):
+            bsx, bsy, bcounts = per_run(comm, _block, p.pairs_mini, r, block)
+            sx += bsx
+            sy += bsy
+            counts += bcounts
+    return sx, sy, counts
+
+
 def program(comm, klass: str = "W") -> Generator:
     """EP rank program; returns ``{"verified": bool, ...}``."""
     p = CLASSES[klass]
@@ -54,14 +82,11 @@ def program(comm, klass: str = "W") -> Generator:
     pair_buffer = proc.malloc(int(p.pair_buffer_mb * MB * 1.1) + 4096)
     tables: List[int] = [proc.malloc(p.table_kb * KB) for _ in range(p.tables)]
 
-    counts = np.zeros(10, dtype=np.int64)
-    sx = sy = 0.0
-
     # the original deals seed blocks unevenly; the last rank sweeps ~10 %
     # more (this imbalance is what the final reductions wait out)
     imbalance = 1.0 + 0.1 * comm.rank / max(1, comm.size - 1)
 
-    for block in range(p.blocks):
+    for _ in range(p.blocks):
         # compute personality: long sweep + many-table rotation
         cost = proc.engine.stream(pair_buffer, int(p.pair_buffer_mb * MB * imbalance))
         cost = cost + proc.engine.rotate(
@@ -69,19 +94,8 @@ def program(comm, klass: str = "W") -> Generator:
         )
         yield from comm.compute(cost)
 
-        # real gaussian-pair work (seeded per rank and block)
-        rng = np.random.default_rng(777 + comm.rank * 1000 + block)
-        u = rng.uniform(-1.0, 1.0, size=(p.pairs_mini, 2))
-        t = np.sum(u * u, axis=1)
-        accept = t <= 1.0
-        tt = t[accept]
-        factor = np.sqrt(-2.0 * np.log(tt) / tt)
-        gx = u[accept, 0] * factor
-        gy = u[accept, 1] * factor
-        sx += float(gx.sum())
-        sy += float(gy.sum())
-        mag = np.maximum(np.abs(gx), np.abs(gy)).astype(np.int64)
-        counts += np.bincount(np.minimum(mag, 9), minlength=10)
+    # real gaussian-pair work (untimed: summed after the timed phases)
+    sx, sy, counts = _partials(comm, p, [comm.rank])
 
     # final reductions: the only communication EP does
     total_counts = yield from comm.allreduce(
@@ -90,23 +104,8 @@ def program(comm, klass: str = "W") -> Generator:
     total_sx = yield from comm.allreduce(8, value=sx)
     total_sy = yield from comm.allreduce(8, value=sy)
 
-    # verification: recompute the global reference locally (cheap)
-    ref_counts = np.zeros(10, dtype=np.int64)
-    ref_sx = ref_sy = 0.0
-    for r in range(comm.size):
-        for block in range(p.blocks):
-            rng = np.random.default_rng(777 + r * 1000 + block)
-            u = rng.uniform(-1.0, 1.0, size=(p.pairs_mini, 2))
-            t = np.sum(u * u, axis=1)
-            accept = t <= 1.0
-            tt = t[accept]
-            factor = np.sqrt(-2.0 * np.log(tt) / tt)
-            gx = u[accept, 0] * factor
-            gy = u[accept, 1] * factor
-            ref_sx += float(gx.sum())
-            ref_sy += float(gy.sum())
-            mag = np.maximum(np.abs(gx), np.abs(gy)).astype(np.int64)
-            ref_counts += np.bincount(np.minimum(mag, 9), minlength=10)
+    # verification: the sequential sum of every rank's block partials
+    ref_sx, ref_sy, ref_counts = _partials(comm, p, range(comm.size))
 
     verified = bool(
         np.array_equal(total_counts, ref_counts)

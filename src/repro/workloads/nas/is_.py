@@ -119,7 +119,7 @@ def program(comm, klass: str = "W") -> Generator:
     conserved = count_total == p.keys_mini * n
     in_range = bool(
         sorted_keys.size == 0
-        or (rank == n - 1 or hi < (rank + 1) * splitter or rank == n - 1)
+        or (rank * splitter <= lo and (rank == n - 1 or hi < (rank + 1) * splitter))
     )
     verified = ordered and cross_ok and conserved and in_range
     return {"verified": bool(verified), "keys_held": int(sorted_keys.size)}

@@ -14,7 +14,7 @@ while the prefetcher benefits fully.
 
 Functional payload: a real 2D recurrence (``v[i,j] = v[i-1,j] + v[i,j-1]
 + a[i,j]``) computed by wavefront pipelining across the rank grid and
-verified against a sequentially computed reference.
+verified by the last-corner rank against a sequential reference.
 """
 
 from __future__ import annotations
@@ -50,6 +50,21 @@ def _grid_shape(n: int):
     while n % px:
         px -= 1
     return max(px, n // px), min(px, n // px)
+
+
+def _recurrence(a: np.ndarray, top: np.ndarray, left: np.ndarray) -> np.ndarray:
+    """``v[i, j] = v[i-1, j] + v[i, j-1] + a[i, j]``, with *top* as row -1
+    and *left* as column -1, summed over Python floats in that order."""
+    rows = []
+    up = top.tolist()
+    for a_row, lf in zip(a.tolist(), left.tolist()):
+        row = []
+        for up_j, a_ij in zip(up, a_row):
+            lf = up_j + lf + a_ij
+            row.append(lf)
+        rows.append(row)
+        up = row
+    return np.array(rows)
 
 
 def program(comm, klass: str = "W") -> Generator:
@@ -92,12 +107,7 @@ def program(comm, klass: str = "W") -> Generator:
         yield from comm.compute(cost)
 
         # real recurrence with halo boundary conditions
-        v_local = np.zeros((bm, bm))
-        for i in range(bm):
-            for j in range(bm):
-                up = v_local[i - 1, j] if i > 0 else top[j]
-                lf = v_local[i, j - 1] if j > 0 else left[i]
-                v_local[i, j] = up + lf + a_local[i, j]
+        v_local = _recurrence(a_local, top, left)
 
         # wavefront send: bottom row south, right column east
         if south is not None:
@@ -110,12 +120,7 @@ def program(comm, klass: str = "W") -> Generator:
     # verification at the last-corner rank: sequential reference
     verified = True
     if rank == n - 1:
-        ref = np.zeros((py * bm, px * bm))
-        for i in range(py * bm):
-            for j in range(px * bm):
-                up = ref[i - 1, j] if i > 0 else 0.0
-                lf = ref[i, j - 1] if j > 0 else 0.0
-                ref[i, j] = up + lf + a_global[i, j]
+        ref = _recurrence(a_global, np.zeros(px * bm), np.zeros(py * bm))
         expected = ref[iy * bm:(iy + 1) * bm, ix * bm:(ix + 1) * bm]
         verified = bool(np.allclose(v_local, expected))
     ok = yield from comm.allreduce(1, value=bool(verified),

@@ -424,6 +424,33 @@ class TestLossyLinkDemo:
         assert seen
 
 
+    def test_abort_caught_by_the_program_fails_the_closing_barrier(self):
+        """A rank program that catches the abort and returns still has
+        the closing barrier to run over the QP the abort took out of RTS:
+        that send raises MPITransportError naming the peer and the state,
+        not a verbs-level error."""
+        exhausting = FaultPlan(link_loss=1.0, retry_cnt=1,
+                               ack_timeout_ns=20_000.0)
+        cluster = Cluster(presets.opteron_infinihost_pcie(), n_nodes=2,
+                          fault_plan=exhausting)
+        cluster.faults.plan = FaultPlan(retry_cnt=1, ack_timeout_ns=20_000.0)
+        world = MPIWorld(cluster, ppn=1)
+        caught = []
+
+        def program(comm):
+            cluster.faults.plan = exhausting
+            try:
+                yield from comm.sendrecv(1 - comm.rank, 1, 8,
+                                         source=1 - comm.rank)
+            except MPITransportError:
+                caught.append(comm.rank)
+
+        with pytest.raises(MPITransportError,
+                           match=r"to rank \d is in state (SQE|ERROR)"):
+            world.run(program)
+        assert caught
+
+
 # ---------------------------------------------------------------------------
 # registration faults through the regcache (transient retried, permanent
 # surfaced; cache invalidated on failure)

@@ -1,9 +1,16 @@
 """Unit tests for the ATT cache (repro.ib.att)."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from repro import fastpath
 from repro.analysis import CounterSet
+from repro.engine import SimKernel
 from repro.ib.att import ATTCache, ATTConfig
+from repro.ib.verbs import MemoryRegion, ProtectionDomain
+from repro.systems import presets
+from repro.systems.machine import Machine
 
 
 @pytest.fixture
@@ -91,3 +98,102 @@ class TestInvalidation:
         att.access(1, 0)
         att.flush()
         assert att.resident == 0
+
+
+# ---------------------------------------------------------------------------
+# HCA._att_range_ns against the closed-form LRU stack-distance rule
+# ---------------------------------------------------------------------------
+KB = 1024
+MB = 1024 * 1024
+
+#: (entry page size, translation entries) of the oracle's regions: 4 KB
+#: translations from the stock driver, 2 MB ones from the patched driver
+_MR_SHAPES = ((4 * KB, 48), (2 * MB, 6), (4 * KB, 20), (2 * MB, 3))
+
+
+def _regions():
+    """Registered-looking regions, each at its own entry-aligned base."""
+    regions = []
+    for i, (page, n_entries) in enumerate(_MR_SHAPES):
+        base = (i + 1) << 32
+        regions.append(MemoryRegion(
+            mr_id=100 + i, pd=ProtectionDomain.fresh(), vaddr=base,
+            length=page * n_entries, entry_page_size=page,
+            n_entries=n_entries, base=base, lkey=1000 + i, rkey=2000 + i))
+    return regions
+
+
+def _hca(capacity, fetch_ns):
+    hca = Machine(SimKernel(), presets.opteron_infinihost_pcie()).hca
+    hca.att = ATTCache(ATTConfig(entries=capacity, fetch_ns=fetch_ns))
+    return hca
+
+
+class StackDistanceOracle:
+    """Infinite LRU stack: an entry hits iff fewer than *capacity*
+    distinct entries were touched since its last use."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.stack = []  # least recently used first
+
+    def sweep(self, mr, addr, nbytes):
+        misses = 0
+        for entry in mr.entries_for(addr, nbytes):
+            key = (mr.mr_id, entry)
+            if key in self.stack:
+                distance = len(self.stack) - 1 - self.stack.index(key)
+                misses += distance >= self.capacity
+                self.stack.remove(key)
+            else:
+                misses += 1
+            self.stack.append(key)
+        return misses
+
+    def resident(self):
+        return self.stack[-self.capacity:]
+
+
+_sweep = st.tuples(st.integers(0, len(_MR_SHAPES) - 1),
+                   st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+
+
+def _span(mr, start_frac, len_frac):
+    """A DMA range inside *mr* from two fractions of its length."""
+    start = mr.vaddr + int(start_frac * (mr.length - 1))
+    nbytes = 1 + int(len_frac * (mr.vaddr + mr.length - start - 1))
+    return start, nbytes
+
+
+class TestATTRangeOracle:
+    @pytest.mark.parametrize("fast", [True, False])
+    @settings(max_examples=60, deadline=None)
+    @given(capacity=st.integers(1, 24),
+           fetch_ns=st.sampled_from([250.0, 137.5, 1.0]),
+           sweeps=st.lists(_sweep, min_size=1, max_size=25))
+    def test_matches_stack_distance_rule(self, fast, capacity, fetch_ns, sweeps):
+        hca, oracle, mrs = _hca(capacity, fetch_ns), StackDistanceOracle(capacity), _regions()
+        with fastpath.forced(fast):
+            for which, start_frac, len_frac in sweeps:
+                mr = mrs[which]
+                addr, nbytes = _span(mr, start_frac, len_frac)
+                misses = oracle.sweep(mr, addr, nbytes)
+                assert hca._att_range_ns(mr, addr, nbytes) == misses * fetch_ns
+        assert hca.att.dump_state() == oracle.resident()
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_cold_sweep_costs_every_entry(self, fast):
+        hca, mr = _hca(8, 250.0), _regions()[0]
+        with fastpath.forced(fast):
+            assert hca._att_range_ns(mr, mr.vaddr, mr.length) == 48 * 250.0
+        assert hca.att.dump_state() == [(mr.mr_id, i) for i in range(40, 48)]
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_repeat_within_capacity_is_free(self, fast):
+        hca, (small, huge, *_) = _hca(16, 250.0), _regions()
+        with fastpath.forced(fast):
+            # 10 x 4 KB entries + 6 x 2 MB entries = 16 = capacity
+            assert hca._att_range_ns(small, small.vaddr, 40 * KB) == 10 * 250.0
+            assert hca._att_range_ns(huge, huge.vaddr, huge.length) == 6 * 250.0
+            assert hca._att_range_ns(small, small.vaddr + 4 * KB, 36 * KB) == 0.0
+            assert hca._att_range_ns(huge, huge.vaddr + MB, 3 * MB) == 0.0

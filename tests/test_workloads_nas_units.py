@@ -1,10 +1,14 @@
 """Unit-level tests for the NAS kernel modules (parameter tables, helpers,
 per-kernel personalities) that don't need full cluster runs."""
 
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.workloads.nas import cg, ep, is_, lu, mg
-from repro.workloads.nas.lu import _grid_shape
+from repro.workloads.nas.lu import _grid_shape, _recurrence
 
 ALL_MODULES = {"CG": cg, "EP": ep, "IS": is_, "LU": lu, "MG": mg}
 
@@ -89,3 +93,39 @@ class TestKernelPersonalities:
         coarsest = p.fine_halo_bytes >> (p.levels - 1)
         assert coarsest < 16 * 1024
         assert p.fine_halo_bytes > 16 * 1024
+
+
+def _numpy_scalar_recurrence(a, top, left):
+    """The LU sweep as first written: numpy scalar indexing, the oracle
+    that :func:`repro.workloads.nas.lu._recurrence` must match bit for bit."""
+    rows, cols = a.shape
+    v = np.zeros((rows, cols))
+    for i in range(rows):
+        for j in range(cols):
+            up = v[i - 1, j] if i > 0 else top[j]
+            lf = v[i, j - 1] if j > 0 else left[i]
+            v[i, j] = up + lf + a[i, j]
+    return v
+
+
+_FLOATS = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False,
+                    allow_subnormal=True)
+
+
+class TestLURecurrence:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 12), cols=st.integers(1, 12))
+    def test_matches_numpy_scalar_loop_bit_for_bit(self, data, rows, cols):
+        a = data.draw(hnp.arrays(np.float64, (rows, cols), elements=_FLOATS))
+        top = data.draw(hnp.arrays(np.float64, cols, elements=_FLOATS))
+        left = data.draw(hnp.arrays(np.float64, rows, elements=_FLOATS))
+        got = _recurrence(a, top, left)
+        want = _numpy_scalar_recurrence(a, top, left)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_zero_boundaries_match_the_reference_grid(self):
+        a = np.random.default_rng(31337).uniform(0.0, 1.0, size=(24, 48))
+        got = _recurrence(a, np.zeros(48), np.zeros(24))
+        assert got.tobytes() == _numpy_scalar_recurrence(
+            a, np.zeros(48), np.zeros(24)).tobytes()
